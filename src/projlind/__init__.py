@@ -46,9 +46,7 @@ from .presets import PRESET_NAMES, preset_config, preset_scenario, preset_text
 from .propagators import (
     PropagationResult,
     approx_propagate_closed,
-    approx_propagate_product,
     bch_error_indicator,
-    bch_interaction_term,
     exact_propagate,
 )
 
@@ -70,9 +68,7 @@ __all__ = [
     "StateDiagnostics",
     "apply_dissipator",
     "approx_propagate_closed",
-    "approx_propagate_product",
     "bch_error_indicator",
-    "bch_interaction_term",
     "coherence_block_projector",
     "commutator",
     "complement",

@@ -14,6 +14,12 @@ from .propagators import approx_propagate_closed, bch_error_indicator, exact_pro
 #: Gaps below this are treated as rounding noise by the convergence fit.
 GAP_NOISE_FLOOR = 1e-14
 
+#: What :func:`sweep` runs: both paths, or only one of them.
+MODES = ("compare", "exact-only", "approx-only")
+
+_NAN = float("nan")
+_NAN_C = complex(_NAN, _NAN)
+
 _SIGMAS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -23,7 +29,8 @@ _SIGMAS = (
 
 @dataclass(frozen=True)
 class ErrorRecord:
-    """Exact-vs-approximate comparison at one time point."""
+    """Exact-vs-approximate comparison at one time point; fields that need a
+    path the sweep did not run are NaN."""
 
     time: float
     trace_distance: float
@@ -123,20 +130,29 @@ def pauli_reconstruct(d: PauliDecomposition) -> np.ndarray:
     return out / 4.0
 
 
-def sweep(scenario: Scenario) -> list[ErrorRecord]:
-    """Run the exact and closed-form paths over the scenario's time grid and
-    record the per-time-point comparison, ordered by time."""
+def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
+    """Run the paths that ``mode`` selects over the scenario's time grid and
+    record the per-time-point comparison, ordered by time.
+
+    ``compare`` runs the exact and closed-form paths; ``exact-only`` and
+    ``approx-only`` run one of them. Fields that need a path the mode does
+    not run are NaN; the indicator is computed in every mode.
+    """
+    if mode not in MODES:
+        raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
     records = []
     for t in scenario.time_grid:
-        exact = exact_propagate(scenario, t)
-        approx = approx_propagate_closed(scenario, t)
+        exact = None if mode == "approx-only" else exact_propagate(scenario, t).state
+        approx = None if mode == "exact-only" else approx_propagate_closed(scenario, t).state
+        both = exact is not None and approx is not None
         records.append(ErrorRecord(
             time=float(t),
-            trace_distance=trace_distance(exact.state, approx.state),
-            frobenius_gap=float(np.linalg.norm(exact.state - approx.state)),
-            exact_trace=complex(np.trace(exact.state)),
-            approx_trace=complex(np.trace(approx.state)),
-            approx_min_eigenvalue=float(np.linalg.eigvalsh(_hermitian_part(approx.state))[0]),
+            trace_distance=trace_distance(exact, approx) if both else _NAN,
+            frobenius_gap=float(np.linalg.norm(exact - approx)) if both else _NAN,
+            exact_trace=_NAN_C if exact is None else complex(np.trace(exact)),
+            approx_trace=_NAN_C if approx is None else complex(np.trace(approx)),
+            approx_min_eigenvalue=_NAN if approx is None
+            else float(np.linalg.eigvalsh(_hermitian_part(approx))[0]),
             bch_indicator=bch_error_indicator(scenario, t),
         ))
     return records

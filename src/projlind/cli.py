@@ -20,12 +20,9 @@ import csv
 import math
 import sys
 
-import numpy as np
-
 from . import analysis, config, presets
 from .exceptions import ConfigError, InvalidInputError
 from .model import Scenario, validate_family
-from .propagators import approx_propagate_closed, bch_error_indicator, exact_propagate
 
 #: Fixed CSV column order.
 CSV_COLUMNS = (
@@ -35,87 +32,45 @@ CSV_COLUMNS = (
     "approx_min_eig", "bch_indicator",
 )
 
-MODES = ("compare", "exact-only", "approx-only")
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PROPAGATION = 2
 EXIT_IO = 3
 
-_NAN = float("nan")
+
+def _csv_row(rec: analysis.ErrorRecord) -> tuple:
+    return (rec.time, rec.trace_distance, rec.frobenius_gap,
+            rec.exact_trace.real, rec.exact_trace.imag,
+            rec.approx_trace.real, rec.approx_trace.imag,
+            rec.approx_min_eigenvalue, rec.bch_indicator)
 
 
-def _min_eig(state) -> float:
-    h = (state + state.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(h)[0])
-
-
-def _collect_rows(scenario: Scenario, mode: str) -> list[dict]:
-    """One dict per time point with every CSV column; columns the mode does
-    not compute are NaN."""
-    rows = []
-    if mode == "compare":
-        for rec in analysis.sweep(scenario):
-            rows.append({
-                "time": rec.time,
-                "trace_distance": rec.trace_distance,
-                "frobenius_gap": rec.frobenius_gap,
-                "exact_trace_re": rec.exact_trace.real,
-                "exact_trace_im": rec.exact_trace.imag,
-                "approx_trace_re": rec.approx_trace.real,
-                "approx_trace_im": rec.approx_trace.imag,
-                "approx_min_eig": rec.approx_min_eigenvalue,
-                "bch_indicator": rec.bch_indicator,
-            })
-        return rows
-    for t in scenario.time_grid:
-        row = dict.fromkeys(CSV_COLUMNS, _NAN)
-        row["time"] = float(t)
-        row["bch_indicator"] = bch_error_indicator(scenario, t)
-        if mode == "exact-only":
-            tr = np.trace(exact_propagate(scenario, t).state)
-            row["exact_trace_re"], row["exact_trace_im"] = tr.real, tr.imag
-        else:
-            state = approx_propagate_closed(scenario, t).state
-            tr = np.trace(state)
-            row["approx_trace_re"], row["approx_trace_im"] = tr.real, tr.imag
-            row["approx_min_eig"] = _min_eig(state)
-        rows.append(row)
-    return rows
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
+def _write_csv(path: str, records: list[analysis.ErrorRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(f"{row[col]:.17g}" for col in CSV_COLUMNS)
+        for rec in records:
+            writer.writerow(f"{value:.17g}" for value in _csv_row(rec))
 
 
-def _summary(scenario: Scenario, mode: str, rows: list[dict]) -> list[str]:
+def _summary(scenario: Scenario, mode: str, records: list[analysis.ErrorRecord]) -> list[str]:
     lines = [
         f"scenario: dim={scenario.dim}, projectors={len(scenario.family)}, "
-        f"time points={len(rows)}, mode={mode}",
+        f"time points={len(records)}, mode={mode}",
     ]
-    gaps = [r for r in rows if not math.isnan(r["trace_distance"])]
+    gaps = [r for r in records if not math.isnan(r.trace_distance)]
     if gaps:
-        records = [analysis.ErrorRecord(
-            time=r["time"], trace_distance=r["trace_distance"],
-            frobenius_gap=r["frobenius_gap"],
-            exact_trace=complex(r["exact_trace_re"], r["exact_trace_im"]),
-            approx_trace=complex(r["approx_trace_re"], r["approx_trace_im"]),
-            approx_min_eigenvalue=r["approx_min_eig"],
-            bch_indicator=r["bch_indicator"]) for r in gaps]
         try:
-            order = f"{analysis.convergence_order(records):.3f}"
+            order = f"{analysis.convergence_order(gaps):.3f}"
         except InvalidInputError:
             order = "n/a (fewer than 3 usable gap points)"
         lines.append(f"fitted convergence order: {order}")
-        lines.append(f"max trace distance: {max(r['trace_distance'] for r in gaps):.6e}")
+        lines.append(f"max trace distance: {max(r.trace_distance for r in gaps):.6e}")
     else:
         lines.append("fitted convergence order: n/a")
         lines.append("max trace distance: n/a")
-    eigs = [r["approx_min_eig"] for r in rows if not math.isnan(r["approx_min_eig"])]
+    eigs = [r.approx_min_eigenvalue for r in records
+            if not math.isnan(r.approx_min_eigenvalue)]
     if eigs:
         lines.append(f"worst positivity violation: {max(0.0, -min(eigs)):.6e}")
     else:
@@ -134,18 +89,18 @@ def _cmd_run(args) -> int:
         return EXIT_VALIDATION
 
     try:
-        rows = _collect_rows(scenario, args.mode)
+        records = analysis.sweep(scenario, args.mode)
     except Exception as exc:  # propagation is not expected to fail on valid input
         print(f"error: propagation failed: {exc}", file=sys.stderr)
         return EXIT_PROPAGATION
 
     try:
-        _write_csv(args.out, rows)
+        _write_csv(args.out, records)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    for line in _summary(scenario, args.mode, rows):
+    for line in _summary(scenario, args.mode, records):
         print(line)
     print(f"wrote: {args.out}")
     return EXIT_OK
@@ -159,8 +114,7 @@ def _cmd_validate(args) -> int:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        doc = config._parse_document(text)
-        members = config._parse_members(doc, doc["dimension"])
+        members = config.parse_members(text)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -192,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="propagate a scenario and write a CSV report")
     p_run.add_argument("--config", required=True, help="scenario JSON file")
-    p_run.add_argument("--mode", choices=MODES, default="compare")
+    p_run.add_argument("--mode", choices=analysis.MODES, default="compare")
     p_run.add_argument("--out", required=True, help="output CSV path")
     p_run.set_defaults(func=_cmd_run)
 

@@ -151,6 +151,13 @@ def _parse_document(text: str) -> dict:
     return doc
 
 
+def parse_members(text: str) -> list[tuple[np.ndarray, float]]:
+    """Raw (projector matrix, rate) pairs of a configuration document, before
+    the family axioms are enforced, for reporting on them."""
+    doc = _parse_document(text)
+    return _parse_members(doc, doc["dimension"])
+
+
 def parse_config(text: str) -> Scenario:
     """Parse a JSON configuration document into a validated Scenario."""
     doc = _parse_document(text)

@@ -1,4 +1,4 @@
-"""The three propagation paths and the splitting-error indicator.
+"""The exact and factorized propagation paths and the splitting-error indicator.
 
 Writing the vectorized master equation as d/dt vec(rho) = (A + B) vec(rho)
 with
@@ -7,21 +7,22 @@ with
     B = - sum_j (lambda_j/2) (P_j kron Q_j^T + Q_j kron P_j^T)   (dissipative part)
 
 the exact solution is vec(rho(t)) = exp(t (A + B)) vec(rho(0)). The
-approximate paths replace exp(t(A+B)) by exp(tA) exp(tB), which is exact
+approximate path replaces exp(t(A+B)) by exp(tA) exp(tB), which is exact
 whenever [A, B] = 0 (in particular for H = 0 or [H, P_j] = 0 for all j).
-The factor exp(tB) is then evaluated in closed form: the coherence-block
-projectors R_j = P_j kron Q_j^T + Q_j kron P_j^T commute and satisfy
-exp(c R) = 1 + (e^c - 1) R, so
+The factor exp(tB) is evaluated in closed form. The projectors share one
+eigenbasis V; with the remainder 1 - sum_j P_j as an extra block of rate 0,
+every column of V lies in exactly one block, and B multiplies block pair
+(a, b) of V^dag rho V by -(r_a + r_b)/2 when the blocks differ and by 0 when
+they agree. So exp(tB) is a Schur product with a block mask,
 
-    exp(tB) = prod_j (1 + (e^{-lambda_j t/2} - 1) R_j),
+    exp(tB) rho = V (M o V^dag rho V) V^dag,
+    M_ab = 1 if a and b lie in the same block, else e^{-(r_a + r_b) t/2},
 
-and multiplying the product out, cross terms R_j R_k collapse to
-P_j kron P_k^T + P_k kron P_j^T while triple products vanish. Back in
-matrix form this gives the closed expression implemented by
-:func:`approx_propagate_closed`; :func:`approx_propagate_product` evaluates
-the same map as a literal superoperator product, and the two must agree to
-rounding. The dropped Baker-Campbell-Hausdorff interaction term starts at
--(1/2) [tA, tB], so the splitting error is second order in t;
+which is the paper's pair expansion prod_j (1 + (e^{-lambda_j t/2} - 1) R_j),
+R_j = P_j kron Q_j^T + Q_j kron P_j^T, summed in closed form. The literal
+product and the multiplied-out pair sum are kept as independent oracles in
+the test suite. The dropped Baker-Campbell-Hausdorff interaction term starts
+at -(1/2) [tA, tB], so the splitting error is second order in t;
 :func:`bch_error_indicator` turns that leading term into a scalar
 diagnostic.
 """
@@ -32,20 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InvalidInputError
-from .linalg import commutator, devectorize, kron, matexp, vectorize
-from .model import (
-    ProjectorFamily,
-    Scenario,
-    coherence_block_projector,
-    dissipator_superop,
-    hamiltonian_superop,
-    projector_exp,
-)
+from .exceptions import InvalidInputError
+from .linalg import commutator, devectorize, matexp, vectorize
+from .model import ProjectorFamily, Scenario, dissipator_superop, hamiltonian_superop
 
 METHOD_EXACT = "exact"
 METHOD_APPROX_CLOSED = "approx-closed"
-METHOD_APPROX_PRODUCT = "approx-product"
 
 
 @dataclass(frozen=True)
@@ -69,11 +62,6 @@ def _check_time(t) -> float:
     return t
 
 
-def _unitary(scenario: Scenario, t: float) -> np.ndarray:
-    # Eigendecomposition path keeps the factor unitary to rounding.
-    return matexp(-1j * t * scenario.hamiltonian.matrix, assume="anti_hermitian")
-
-
 def exact_propagate(scenario: Scenario, t) -> PropagationResult:
     """Exact solution by exponentiating the full n^2 x n^2 generator.
 
@@ -86,115 +74,39 @@ def exact_propagate(scenario: Scenario, t) -> PropagationResult:
     return PropagationResult(t, devectorize(vec, scenario.dim), METHOD_EXACT)
 
 
-def _decay_factors(family: ProjectorFamily, t: float) -> np.ndarray:
-    return np.array([np.exp(-lam * t / 2.0) - 1.0 for lam in family.rates])
+def _dissipative_factor(family: ProjectorFamily, rho0: np.ndarray, t: float) -> np.ndarray:
+    """exp(tB) applied to rho0 as the block-mask Schur product.
 
-
-def _closed_body(family: ProjectorFamily, rho0: np.ndarray, t: float,
-                 symmetric_pairs: bool = False) -> np.ndarray:
-    """The braces of the closed form, before unitary conjugation.
-
-    The cross term can be summed over ordered pairs j < k or symmetrically
-    over j != k with a factor 1/2; both spellings are kept because their
-    agreement is a cheap sanity check of the pair algebra.
+    The eigenvalues of sum_j j P_j (j from 1) label the columns of V: j for
+    the range of P_j, 0 for the remainder. Family validation holds them
+    within 1e-10 of those integers, so rounding recovers the labels.
     """
-    eye = np.eye(family.dim, dtype=complex)
-    c = _decay_factors(family, t)
-    ps = family.projectors
-    out = rho0.astype(complex).copy()
-    for j, p in enumerate(ps):
-        q = eye - p
-        out += c[j] * (p @ rho0 @ q + q @ rho0 @ p)
-    if symmetric_pairs:
-        for j in range(len(ps)):
-            for k in range(len(ps)):
-                if j != k:
-                    out += 0.5 * c[j] * c[k] * (ps[j] @ rho0 @ ps[k] + ps[k] @ rho0 @ ps[j])
-    else:
-        for j in range(len(ps)):
-            for k in range(j + 1, len(ps)):
-                out += c[j] * c[k] * (ps[j] @ rho0 @ ps[k] + ps[k] @ rho0 @ ps[j])
-    return out
+    n = family.dim
+    weights = sum((j * p for j, p in enumerate(family.projectors, start=1)),
+                  np.zeros((n, n), dtype=complex))
+    w, v = np.linalg.eigh(weights)
+    labels = np.rint(w).astype(int)
+    rates = np.array((0.0,) + family.rates)[labels]
+    mask = np.where(labels[:, None] == labels[None, :], 1.0,
+                    np.exp(-(rates[:, None] + rates[None, :]) * t / 2.0))
+    vh = v.conj().T
+    return v @ (mask * (vh @ rho0 @ v)) @ vh
 
 
 def approx_propagate_closed(scenario: Scenario, t) -> PropagationResult:
     """Closed-form splitting approximation, entirely in matrix form:
 
-        rho(t) ~= U { rho0 + sum_j c_j (P_j rho0 Q_j + Q_j rho0 P_j)
-                           + sum_{j<k} c_j c_k (P_j rho0 P_k + P_k rho0 P_j) } U^dag
+        rho(t) ~= U V (M o V^dag rho0 V) V^dag U^dag
 
-    with U = exp(-i t H) and c_j = e^{-lambda_j t / 2} - 1. Costs only n x n
-    products and one Hermitian eigendecomposition for U.
+    with U = exp(-i t H) and the block mask M of the module docstring.
+    Costs two Hermitian eigendecompositions and a few n x n products,
+    whatever the number of projectors.
     """
     t = _check_time(t)
-    body = _closed_body(scenario.family, scenario.initial_state.matrix, t)
-    u = _unitary(scenario, t)
+    body = _dissipative_factor(scenario.family, scenario.initial_state.matrix, t)
+    # Eigendecomposition path keeps the factor unitary to rounding.
+    u = matexp(-1j * t * scenario.hamiltonian.matrix, assume="anti_hermitian")
     return PropagationResult(t, u @ body @ u.conj().T, METHOD_APPROX_CLOSED)
-
-
-def approx_propagate_product(scenario: Scenario, t) -> PropagationResult:
-    """Same map as :func:`approx_propagate_closed`, evaluated as a literal
-    superoperator product
-
-        (U kron U*) prod_j (1 + (e^{-lambda_j t/2} - 1) R_j) vec(rho0)
-
-    with factors taken in family order (they commute, so the order only
-    fixes determinism).
-    """
-    t = _check_time(t)
-    n = scenario.dim
-    op = np.eye(n * n, dtype=complex)
-    for p, lam in scenario.family:
-        op = op @ projector_exp(-lam * t / 2.0, coherence_block_projector(p))
-    u = _unitary(scenario, t)
-    vec = kron(u, u.conj()) @ op @ vectorize(scenario.initial_state.matrix)
-    return PropagationResult(t, devectorize(vec, n), METHOD_APPROX_PRODUCT)
-
-
-def _expanded_decay_superop(family: ProjectorFamily, t: float) -> np.ndarray:
-    """Multiplied-out form of the dissipative factor:
-
-        1 + sum_j c_j R_j + sum_{j<k} c_j c_k (P_j kron P_k^T + P_k kron P_j^T).
-
-    Kept as a third, independent route for equivalence tests.
-    """
-    n = family.dim
-    c = _decay_factors(family, t)
-    ps = family.projectors
-    out = np.eye(n * n, dtype=complex)
-    for j, p in enumerate(ps):
-        out += c[j] * coherence_block_projector(p)
-    for j in range(len(ps)):
-        for k in range(j + 1, len(ps)):
-            out += c[j] * c[k] * (kron(ps[j], ps[k].T) + kron(ps[k], ps[j].T))
-    return out
-
-
-def _approx_propagate_expanded(scenario: Scenario, t) -> PropagationResult:
-    t = _check_time(t)
-    n = scenario.dim
-    u = _unitary(scenario, t)
-    vec = kron(u, u.conj()) @ _expanded_decay_superop(scenario.family, t) \
-        @ vectorize(scenario.initial_state.matrix)
-    return PropagationResult(t, devectorize(vec, n), METHOD_APPROX_PRODUCT)
-
-
-def bch_interaction_term(a, b) -> np.ndarray:
-    """Interaction term of the splitting exp(A+B) = exp(A) exp(I) exp(B),
-    truncated after third order:
-
-        I(A, B) ~= -(1/2)[A, B] + (1/6)([[A, B], B] + [A, [A, B]]).
-
-    This is a truncation: the series continues with higher nested
-    commutators that are not computed here. For A, B of order t the
-    truncation error in exp(I) is O(t^4).
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionError(f"operands must share a shape, got {a.shape} and {b.shape}")
-    ab = commutator(a, b)
-    return -0.5 * ab + (commutator(ab, b) + commutator(a, ab)) / 6.0
 
 
 def bch_error_indicator(scenario: Scenario, t) -> float:
@@ -204,7 +116,7 @@ def bch_error_indicator(scenario: Scenario, t) -> float:
 
     Zero exactly when the scenario commutes; grows quadratically in t.
     """
-    t = float(t)
+    t = _check_time(t)
     a = hamiltonian_superop(scenario.hamiltonian)
     b = dissipator_superop(scenario.family)
     return 0.5 * float(np.linalg.norm(commutator(t * a, t * b)))

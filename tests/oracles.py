@@ -85,3 +85,74 @@ def dissipator_reference(members, rho):
         p = np.asarray(p, dtype=complex)
         out = out + (lam / 2.0) * (p @ rho + rho @ p - 2.0 * p @ rho @ p)
     return out
+
+
+def _unitary(h, t):
+    """exp(-i t H) from the eigendecomposition of the Hermitian H."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def _coherence_block(p):
+    """R = P kron Q^T + Q kron P^T, the superoperator of rho -> P rho Q + Q rho P."""
+    q = np.eye(p.shape[0]) - p
+    return np.kron(p, q.T) + np.kron(q, p.T)
+
+
+def _factorized(h, superop, rho0, t):
+    """(U kron U*) S vec(rho0) reshaped back, with row-stacking vec."""
+    n = rho0.shape[0]
+    u = _unitary(h, t)
+    return (np.kron(u, u.conj()) @ superop @ np.asarray(rho0, dtype=complex).reshape(-1)) \
+        .reshape(n, n)
+
+
+def approx_product(h, members, rho0, t):
+    """Factorized map exp(tA) exp(tB) rho0 with exp(tB) as the literal product
+
+        prod_j (1 + (e^{-lambda_j t/2} - 1) R_j)
+
+    of the exponentials of the commuting coherence-block projectors R_j,
+    taken in family order."""
+    n = np.asarray(rho0).shape[0]
+    op = np.eye(n * n, dtype=complex)
+    for p, lam in members:
+        p = np.asarray(p, dtype=complex)
+        op = op @ (np.eye(n * n) + (np.exp(-lam * t / 2.0) - 1.0) * _coherence_block(p))
+    return _factorized(h, op, rho0, t)
+
+
+def approx_expanded(h, members, rho0, t):
+    """Same map with the product multiplied out: cross terms R_j R_k collapse
+    to P_j kron P_k^T + P_k kron P_j^T and triple products vanish, so
+
+        exp(tB) = 1 + sum_j c_j R_j + sum_{j<k} c_j c_k (P_j kron P_k^T + P_k kron P_j^T)
+
+    with c_j = e^{-lambda_j t/2} - 1."""
+    n = np.asarray(rho0).shape[0]
+    ps = [np.asarray(p, dtype=complex) for p, _ in members]
+    c = [np.exp(-lam * t / 2.0) - 1.0 for _, lam in members]
+    op = np.eye(n * n, dtype=complex)
+    for j, p in enumerate(ps):
+        op += c[j] * _coherence_block(p)
+    for j in range(len(ps)):
+        for k in range(j + 1, len(ps)):
+            op += c[j] * c[k] * (np.kron(ps[j], ps[k].T) + np.kron(ps[k], ps[j].T))
+    return _factorized(h, op, rho0, t)
+
+
+def bch_interaction_term(a, b):
+    """Interaction term of the splitting exp(A+B) = exp(A) exp(I) exp(B),
+    truncated after third order:
+
+        I(A, B) ~= -(1/2)[A, B] + (1/6)([[A, B], B] + [A, [A, B]]).
+
+    The series continues with higher nested commutators that are not
+    computed here; for A, B of order t the truncation error in exp(I) is
+    O(t^4)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"operands must share a shape, got {a.shape} and {b.shape}")
+    ab = a @ b - b @ a
+    return -0.5 * ab + ((ab @ b - b @ ab) + (a @ ab - ab @ a)) / 6.0

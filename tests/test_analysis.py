@@ -168,6 +168,11 @@ class TestSweep:
         times = [r.time for r in analysis.sweep(scen)]
         assert times == sorted(times)
 
+    def test_rejects_unknown_mode(self):
+        scen = make_scenario(SX, [(P0, 1.0)], np.diag([1.0, 0.0]), [0.1])
+        with pytest.raises(InvalidInputError):
+            analysis.sweep(scen, "approx")
+
 
 class TestPureDecoherenceCoefficientTracking:
     def test_two_qubit_coefficients_match_exact(self):

@@ -123,13 +123,37 @@ class TestRun:
         def boom(*args, **kwargs):
             raise AssertionError("exact path must not run in approx-only mode")
 
-        monkeypatch.setattr(cli, "exact_propagate", boom)
         monkeypatch.setattr("projlind.analysis.exact_propagate", boom)
         assert cli.main(["run", "--config", str(cfg), "--mode", "approx-only",
                          "--out", str(out)]) == 0
         rows = read_csv(out)
         assert len(rows) == 4
         assert all(r[3] == "nan" for r in rows[1:])  # exact_trace_re column
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_single_path_modes_match_compare(self, tmp_path, name):
+        # Each single-path mode writes the compare report's text in the
+        # columns it computes and nan in every other column.
+        computed = {
+            "exact-only": {"time", "exact_trace_re", "exact_trace_im", "bch_indicator"},
+            "approx-only": {"time", "approx_trace_re", "approx_trace_im",
+                            "approx_min_eig", "bch_indicator"},
+        }
+        cfg = write_preset(tmp_path, name)
+        reports = {}
+        for mode in ("compare", *computed):
+            out = tmp_path / f"{mode}.csv"
+            assert cli.main(["run", "--config", str(cfg), "--mode", mode,
+                             "--out", str(out)]) == 0
+            reports[mode] = read_csv(out)
+        header = reports["compare"][0]
+        for mode, columns in computed.items():
+            rows = reports[mode]
+            assert rows[0] == header
+            assert len(rows) == len(reports["compare"])
+            for row, ref in zip(rows[1:], reports["compare"][1:]):
+                for col, value, expected in zip(header, row, ref):
+                    assert value == (expected if col in columns else "nan"), (mode, col)
 
     def test_csv_row_count_matches_grid(self, tmp_path):
         for name in presets.PRESET_NAMES:

@@ -3,10 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projlind import linalg, model, propagators
-from projlind.exceptions import DimensionError, InvalidInputError
+from projlind.exceptions import InvalidInputError
 
 from oracles import (
     SX,
+    approx_expanded,
+    approx_product,
+    bch_interaction_term,
     rand_density,
     rand_hermitian,
     rand_orthogonal_projectors,
@@ -44,8 +47,15 @@ DRIVEN = make_scenario(SX, [(P0, 1.0)], np.diag([1.0, 0.0]))
 ALL_PATHS = (
     propagators.exact_propagate,
     propagators.approx_propagate_closed,
-    propagators.approx_propagate_product,
 )
+
+
+def product(scen, t):
+    return approx_product(scen.hamiltonian.matrix, scen.family, scen.initial_state.matrix, t)
+
+
+def expanded(scen, t):
+    return approx_expanded(scen.hamiltonian.matrix, scen.family, scen.initial_state.matrix, t)
 
 
 class TestExactPropagate:
@@ -117,18 +127,6 @@ class TestApproxClosed:
         out = propagators.approx_propagate_closed(DEPHASING, np.log(4.0)).state
         assert_allclose(out, [[0.5, 0.125], [0.125, 0.5]], atol=1e-12)
 
-    def test_ordered_and_symmetric_pair_sums_agree(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            n = int(rng.integers(3, 7))
-            ps = rand_orthogonal_projectors(n, rand_ranks(n, 3, rng), rng)
-            fam = model.ProjectorFamily(tuple((p, float(rng.uniform(0.2, 3.0))) for p in ps))
-            rho0 = rand_density(n, rng)
-            t = float(rng.uniform(0.0, 2.0))
-            ordered = propagators._closed_body(fam, rho0, t, symmetric_pairs=False)
-            symmetric = propagators._closed_body(fam, rho0, t, symmetric_pairs=True)
-            assert np.linalg.norm(ordered - symmetric) <= 1e-14
-
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -149,13 +147,13 @@ class TestApproxClosed:
 
 class TestApproxProduct:
     def test_t_zero_returns_initial_state(self):
-        out = propagators.approx_propagate_product(DEPHASING, 0.0)
-        assert np.linalg.norm(out.state - PLUS) <= 1e-14
+        out = product(DEPHASING, 0.0)
+        assert np.linalg.norm(out - PLUS) <= 1e-14
 
     def test_single_projector_matches_closed(self):
         for t in (0.0, 0.3, 1.2):
             a = propagators.approx_propagate_closed(DRIVEN, t).state
-            b = propagators.approx_propagate_product(DRIVEN, t).state
+            b = product(DRIVEN, t)
             assert np.linalg.norm(a - b) <= 1e-12
 
     def test_three_projector_matches_closed(self):
@@ -168,7 +166,7 @@ class TestApproxProduct:
         )
         for t in (0.2, 0.9, 1.7):
             a = propagators.approx_propagate_closed(scen, t).state
-            b = propagators.approx_propagate_product(scen, t).state
+            b = product(scen, t)
             assert np.linalg.norm(a - b) <= 1e-12
 
 
@@ -179,11 +177,11 @@ class TestThreeFormEquivalence:
             scen = rand_scenario(rng, min_members=2)
             t = float(rng.uniform(0.0, 2.0))
             closed = propagators.approx_propagate_closed(scen, t).state
-            product = propagators.approx_propagate_product(scen, t).state
-            expanded = propagators._approx_propagate_expanded(scen, t).state
-            assert np.linalg.norm(closed - product) <= 1e-12
-            assert np.linalg.norm(closed - expanded) <= 1e-12
-            assert np.linalg.norm(product - expanded) <= 1e-12
+            prod = product(scen, t)
+            expa = expanded(scen, t)
+            assert np.linalg.norm(closed - prod) <= 1e-12
+            assert np.linalg.norm(closed - expa) <= 1e-12
+            assert np.linalg.norm(prod - expa) <= 1e-12
 
 
 class TestExactnessInCommutingCases:
@@ -235,14 +233,14 @@ class TestBchInteractionTerm:
     def test_commuting_inputs_give_zero(self):
         a = np.diag([1.0, 2.0, 3.0])
         b = np.diag([-1.0, 0.5, 2.0])
-        assert_allclose(propagators.bch_interaction_term(a, b), np.zeros((3, 3)), atol=0)
+        assert_allclose(bch_interaction_term(a, b), np.zeros((3, 3)), atol=0)
 
     def test_leading_term_dominates_at_small_t(self):
         rng = np.random.default_rng(37)
         x = rand_hermitian(3, rng)
         y = rand_hermitian(3, rng)
         for t in (1e-3, 1e-4):
-            full = propagators.bch_interaction_term(t * x, t * y)
+            full = bch_interaction_term(t * x, t * y)
             leading = -0.5 * (t * x @ (t * y) - t * y @ (t * x))
             assert np.linalg.norm(full - leading) <= 10 * t * np.linalg.norm(leading)
 
@@ -254,7 +252,7 @@ class TestBchInteractionTerm:
         residuals = []
         for t in (0.2, 0.1, 0.05):
             a, b = t * a_gen, t * b_gen
-            inter = propagators.bch_interaction_term(a, b)
+            inter = bch_interaction_term(a, b)
             lhs = linalg.matexp(a) @ linalg.matexp(inter) @ linalg.matexp(b)
             residuals.append(np.linalg.norm(lhs - linalg.matexp(a + b)))
         assert residuals[0] > 0
@@ -262,8 +260,8 @@ class TestBchInteractionTerm:
             assert 10.0 <= r_big / r_small <= 22.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            propagators.bch_interaction_term(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError):
+            bch_interaction_term(np.eye(2), np.eye(3))
 
 
 class TestBchErrorIndicator:
@@ -283,10 +281,15 @@ class TestBchErrorIndicator:
         vals = [propagators.bch_error_indicator(DRIVEN, t) for t in np.linspace(0, 2, 9)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+    def test_rejects_invalid_time(self, t):
+        with pytest.raises(InvalidInputError):
+            propagators.bch_error_indicator(DRIVEN, t)
+
 
 def test_methods_are_tagged():
     tags = {f(DEPHASING, 0.5).method for f in ALL_PATHS}
-    assert tags == {"exact", "approx-closed", "approx-product"}
+    assert tags == {"exact", "approx-closed"}
 
 
 def test_propagation_is_deterministic():
