@@ -20,7 +20,6 @@ from .analysis import (
 from .config import dumps_config, load_config, parse_config, scenario_to_config
 from .exceptions import ConfigError, DimensionError, InvalidInputError
 from .linalg import (
-    commutator,
     devectorize,
     hermitian_eigenvalues,
     kron,
@@ -70,7 +69,6 @@ __all__ = [
     "approx_propagate_closed",
     "bch_error_indicator",
     "coherence_block_projector",
-    "commutator",
     "complement",
     "convergence_order",
     "devectorize",

@@ -1,8 +1,8 @@
 """Dense complex-matrix kernel.
 
-Kronecker products, row-stacking vectorization, matrix exponentials,
-commutators and Hermitian eigenvalues, all on plain ``numpy`` arrays of
-``complex128``. Every function is pure; inputs are never modified.
+Kronecker products, row-stacking vectorization, matrix exponentials and
+Hermitian eigenvalues, all on plain ``numpy`` arrays of ``complex128``.
+Every function is pure; inputs are never modified.
 
 The vectorization convention is row stacking: an n x n matrix X maps to
 the length n^2 vector (x11, x12, ..., x1n, ..., xn1, ..., xnn). Under
@@ -87,15 +87,6 @@ def devectorize(v, n: int) -> np.ndarray:
     if a.shape[0] != n * n:
         raise DimensionError(f"vector of length {a.shape[0]} cannot fill a {n}x{n} matrix")
     return a.reshape(n, n).copy()
-
-
-def commutator(a, b) -> np.ndarray:
-    """Commutator a @ b - b @ a of two square matrices of equal size."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"commutator needs equal shapes, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
 
 
 def _pade_expm(a: np.ndarray) -> np.ndarray:

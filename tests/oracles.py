@@ -141,6 +141,21 @@ def approx_expanded(h, members, rho0, t):
     return _factorized(h, op, rho0, t)
 
 
+def bch_indicator_superop(h, members, t):
+    """(1/2) ||[tA, tB]||_F from the n^2 x n^2 superoperators
+
+        A = -i (H kron 1 - 1 kron H^T),    B = -sum_j (lambda_j/2) R_j,
+
+    with row-stacking vec: the brute-force route of the splitting indicator."""
+    h = np.asarray(h, dtype=complex)
+    ident = np.eye(h.shape[0])
+    a = -1j * t * (np.kron(h, ident) - np.kron(ident, h.T))
+    b = np.zeros_like(a)
+    for p, lam in members:
+        b -= (t * lam / 2.0) * _coherence_block(np.asarray(p, dtype=complex))
+    return 0.5 * float(np.linalg.norm(a @ b - b @ a))
+
+
 def bch_interaction_term(a, b):
     """Interaction term of the splitting exp(A+B) = exp(A) exp(I) exp(B),
     truncated after third order:

@@ -104,7 +104,7 @@ class TestRun:
 
     def test_approx_only_never_touches_exact_path(self, tmp_path, monkeypatch):
         # n = 16: the exact path would need a 256 x 256 exponential; make
-        # certain it is never even called.
+        # certain it, and every superoperator build, is never even called.
         rng = np.random.default_rng(99)
         z = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         h = (z + z.conj().T) / 2
@@ -121,9 +121,12 @@ class TestRun:
         out = tmp_path / "report.csv"
 
         def boom(*args, **kwargs):
-            raise AssertionError("exact path must not run in approx-only mode")
+            raise AssertionError("no n^2 x n^2 work may run in approx-only mode")
 
         monkeypatch.setattr("projlind.analysis.exact_propagate", boom)
+        # Nor does the indicator build an n^2 x n^2 superoperator.
+        monkeypatch.setattr("projlind.propagators.hamiltonian_superop", boom)
+        monkeypatch.setattr("projlind.propagators.dissipator_superop", boom)
         assert cli.main(["run", "--config", str(cfg), "--mode", "approx-only",
                          "--out", str(out)]) == 0
         rows = read_csv(out)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from projlind import linalg
 from projlind.exceptions import DimensionError, InvalidInputError
 
-from oracles import SX, SY, SZ, rand_hermitian, taylor_expm
+from oracles import SX, rand_hermitian, taylor_expm
 
 
 def test_kron_identity_case():
@@ -85,19 +85,6 @@ def test_vectorization_identity_random():
             rhs = linalg.kron(a, b.T) @ linalg.vectorize(x)
             bound = 1e-12 * np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(x)
             assert np.linalg.norm(lhs - rhs) <= bound
-
-
-def test_commutator_examples():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_allclose(linalg.commutator(x, x), np.zeros((2, 2)), atol=0)
-    assert_allclose(linalg.commutator(SX, SY), 2j * SZ, atol=1e-15)
-    assert_allclose(linalg.commutator(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])),
-                    np.zeros((2, 2)), atol=0)
-
-
-def test_commutator_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        linalg.commutator(np.eye(2), np.eye(3))
 
 
 def test_matexp_zero_is_identity():

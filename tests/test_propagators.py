@@ -9,11 +9,13 @@ from oracles import (
     SX,
     approx_expanded,
     approx_product,
+    bch_indicator_superop,
     bch_interaction_term,
     rand_density,
     rand_hermitian,
     rand_orthogonal_projectors,
     rand_ranks,
+    rand_unitary,
     taylor_expm,
 )
 
@@ -264,10 +266,58 @@ class TestBchInteractionTerm:
             bch_interaction_term(np.eye(2), np.eye(3))
 
 
+def split_scenario(rng, max_dim):
+    """Random scenario with n in [2, max_dim] and 0 to n projectors taken
+    from column blocks of one unitary; a third of the families leave part of
+    the space uncovered, and a third of the Hamiltonians are block diagonal
+    in the same unitary, so they commute with every projector."""
+    n = int(rng.integers(2, max_dim + 1))
+    ranks = rand_ranks(n, int(rng.integers(0, n + 1)), rng)
+    if ranks and rng.random() < 1 / 3:
+        ranks.pop()
+    u = rand_unitary(n, rng)
+    edges = np.cumsum([0, *ranks, n - sum(ranks)])
+    blocks = [u[:, a:b] for a, b in zip(edges, edges[1:])]
+    members = [(v @ v.conj().T, float(rng.uniform(0.2, 3.0))) for v in blocks[:len(ranks)]]
+    if rng.random() < 1 / 3:
+        h = sum(v @ rand_hermitian(v.shape[1], rng) @ v.conj().T for v in blocks if v.shape[1])
+    else:
+        h = rand_hermitian(n, rng)
+    return make_scenario(h, members, rand_density(n, rng))
+
+
 class TestBchErrorIndicator:
     def test_commuting_scenario_gives_zero(self):
         scen = make_scenario(np.diag([1.0, -1.0]), [(P0, 1.0)], np.diag([1.0, 0.0]))
         assert propagators.bch_error_indicator(scen, 1.3) == 0.0
+        # A rank-n projector is the identity up to rounding: no dissipation.
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4):
+            u = rand_unitary(n, rng)
+            scen = make_scenario(rand_hermitian(n, rng), [(u @ u.conj().T, 1.0)],
+                                 rand_density(n, rng))
+            assert propagators.bch_error_indicator(scen, 500.0) == 0.0
+
+    def test_matches_superoperator_commutator(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            scen = split_scenario(rng, max_dim=10)
+            h = scen.hamiltonian.matrix
+            for t in (0.0, float(rng.uniform(0.0, 3.0)), 500.0):
+                ref = bch_indicator_superop(h, scen.family, t)
+                got = propagators.bch_error_indicator(scen, t)
+                assert abs(got - ref) <= 1e-12 * ref + 1e-13 * max(1.0, t * t)
+
+    def test_bounds_the_splitting_gap(self):
+        # ||rho_exact - rho_approx||_F <= (t^2/2)||[A, B]||_F; the allowance
+        # covers rounding in the two propagated states.
+        rng = np.random.default_rng(47)
+        for _ in range(500):
+            scen = split_scenario(rng, max_dim=6)
+            for t in (float(rng.uniform(0.0, 3.0)), 10.0 ** rng.uniform(-3.0, 0.0)):
+                gap = np.linalg.norm(propagators.exact_propagate(scen, t).state
+                                     - propagators.approx_propagate_closed(scen, t).state)
+                assert gap <= propagators.bch_error_indicator(scen, t) + 1e-12
 
     def test_zero_time_gives_zero(self):
         assert propagators.bch_error_indicator(DRIVEN, 0.0) == 0.0
