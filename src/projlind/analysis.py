@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
 from .linalg import HERMITICITY_TOL, hermiticity_residual, kron
 from .model import Scenario
-from .propagators import approx_propagate_closed, bch_error_indicator, exact_propagate
+from .propagators import _bch_constant, _exact_states, approx_propagate_closed
 
 #: Gaps below this are treated as rounding noise by the convergence fit.
 GAP_NOISE_FLOOR = 1e-14
@@ -140,20 +141,23 @@ def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+    grid = scenario.time_grid
+    states = repeat(None) if mode == "approx-only" else _exact_states(scenario, grid)
+    kappa = _bch_constant(scenario)
     records = []
-    for t in scenario.time_grid:
-        exact = None if mode == "approx-only" else exact_propagate(scenario, t).state
+    for t, exact in zip(grid, states):
+        t = float(t)
         approx = None if mode == "exact-only" else approx_propagate_closed(scenario, t).state
         both = exact is not None and approx is not None
         records.append(ErrorRecord(
-            time=float(t),
+            time=t,
             trace_distance=trace_distance(exact, approx) if both else _NAN,
             frobenius_gap=float(np.linalg.norm(exact - approx)) if both else _NAN,
             exact_trace=_NAN_C if exact is None else complex(np.trace(exact)),
             approx_trace=_NAN_C if approx is None else complex(np.trace(approx)),
             approx_min_eigenvalue=_NAN if approx is None
             else float(np.linalg.eigvalsh(_hermitian_part(approx))[0]),
-            bch_indicator=bch_error_indicator(scenario, t),
+            bch_indicator=0.5 * t * t * kappa,
         ))
     return records
 

@@ -93,10 +93,11 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring with a diagonal Pade approximant.
 
     Degree is chosen from the 1-norm of the input; norms above the degree-13
-    threshold are scaled down by a power of two and squared back.
+    threshold are scaled down by a power of two and squared back. The
+    arithmetic stays in the input's dtype, so a real input stays real.
     """
     n = a.shape[0]
-    ident = np.eye(n, dtype=complex)
+    ident = np.eye(n, dtype=a.dtype)
     norm = np.linalg.norm(a, 1)
 
     squarings = 0

@@ -26,8 +26,26 @@ bounds the error. From the same (V, G) and H' = V^dag H V,
     D_ac = sum_x (G_xa - G_xc)^2,
 
 so the approximate path and its indicator cost O(n^3) per time point and
-never form an n^2 x n^2 array. Only :func:`exact_propagate`, the unstructured
-reference, builds the n^2 x n^2 matrices A and B.
+never form an n^2 x n^2 array; the constant under the square root is
+computed once per scenario.
+
+The exact path works in the same frame. There the generator is
+L(X) = -i (H'X - XH') - G o X, and it preserves Hermiticity, so it is a real
+matrix in any orthonormal basis of Hermitian matrices (Alicki & Lendi,
+Quantum Dynamical Semigroups, LNP 286). The basis used here is 1/sqrt(n)
+and the n^2 - 1 traceless matrices F_k: diag(q) for the columns q of a
+Householder reflection orthogonal to the all-ones vector, and
+(E_jk + E_kj)/sqrt2 and i (E_jk - E_kj)/sqrt2 for j < k. Since L(1) = 0 and
+L preserves the trace, the row and column of 1/sqrt(n) are zero, and the
+rest is a real (n^2 - 1)-square matrix M: skew-symmetric from the
+commutator minus the non-negative diagonal G_jk of the off-diagonal
+elements, so exp(hM) is a contraction. M is built once per scenario, in
+O(n^5), and the coordinates x of V^dag rho0 V are walked along the grid,
+x <- exp(hM) x with h the step between grid points; an equal step reuses
+the previous exponential. Each state is V (1/n + sum_k x_k F_k) V^dag, so it
+is Hermitian by construction and its trace is 1 to rounding, however stiff
+t L is. The unstructured n^2 x n^2 route exp(t (A + B)) is kept in the test
+suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -37,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .linalg import devectorize, matexp, vectorize
-from .model import ProjectorFamily, Scenario, dissipator_superop, hamiltonian_superop
+from .linalg import _pade_expm, matexp
+from .model import ProjectorFamily, Scenario
 
 METHOD_EXACT = "exact"
 METHOD_APPROX_CLOSED = "approx-closed"
@@ -66,15 +84,10 @@ def _check_time(t) -> float:
 
 
 def exact_propagate(scenario: Scenario, t) -> PropagationResult:
-    """Exact solution by exponentiating the full n^2 x n^2 generator.
-
-    This is the reference path: a single general matrix exponential of
-    t (A + B), deliberately free of structure exploitation.
-    """
+    """Exact solution exp(t (A + B)) rho0 from the real trace-deflated
+    generator of the module docstring."""
     t = _check_time(t)
-    gen = hamiltonian_superop(scenario.hamiltonian) + dissipator_superop(scenario.family)
-    vec = matexp(t * gen) @ vectorize(scenario.initial_state.matrix)
-    return PropagationResult(t, devectorize(vec, scenario.dim), METHOD_EXACT)
+    return PropagationResult(t, next(_exact_states(scenario, [t])), METHOD_EXACT)
 
 
 def _decay_basis(family: ProjectorFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +132,67 @@ def bch_error_indicator(scenario: Scenario, t) -> float:
     (Jahnke & Lubich, BIT 40 (2000); Childs et al., PRX 11, 011020 (2021)).
     """
     t = _check_time(t)
+    return 0.5 * t * t * _bch_constant(scenario)
+
+
+def _bch_constant(scenario: Scenario) -> float:
+    """||[A, B]||_F = sqrt(2 sum_{a,c} |H'_ac|^2 D_ac), independent of t."""
     v, g = _decay_basis(scenario.family)
     h = v.conj().T @ scenario.hamiltonian.matrix @ v
     # Direct differences: equal-label columns give D = 0 exactly, where an
     # expansion into squares would leave cancellation noise.
     d = ((g[:, :, None] - g[:, None, :]) ** 2).sum(0)
-    return 0.5 * t * t * float(np.sqrt(2.0 * np.sum(np.abs(h) ** 2 * d)))
+    return float(np.sqrt(2.0 * np.sum(np.abs(h) ** 2 * d)))
+
+
+def _traceless_frame(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The diagonal vectors q (columns 2..n of the Householder reflection
+    that maps e_1 to the all-ones vector over sqrt(n)) and the index pairs
+    j < k of the off-diagonal basis elements."""
+    u = np.full(n, n ** -0.5)
+    w = u - np.eye(n)[0]
+    q = np.eye(n) - np.outer(w, w) / (1.0 - u[0]) if n > 1 else np.eye(1)
+    return q[:, 1:], np.triu_indices(n, 1)
+
+
+def _coordinates(x: np.ndarray, q: np.ndarray, pairs) -> np.ndarray:
+    """Coordinates tr(F_k X) of Hermitian matrices X stacked on the last two
+    axes, in the order: diagonal, symmetric, antisymmetric elements."""
+    off = np.sqrt(2.0) * x[..., pairs[0], pairs[1]]
+    diag = np.diagonal(x, axis1=-2, axis2=-1).real @ q
+    return np.concatenate([diag, off.real, off.imag], axis=-1)
+
+
+def _traceless(c: np.ndarray, q: np.ndarray, pairs) -> np.ndarray:
+    """sum_k c_k F_k for coordinate vectors c stacked on the last axis."""
+    n, m = q.shape
+    z = (c[..., m:m + len(pairs[0])] + 1j * c[..., m + len(pairs[0]):]) / np.sqrt(2.0)
+    x = np.zeros(c.shape[:-1] + (n, n), dtype=complex)
+    x[..., pairs[0], pairs[1]] = z
+    x[..., pairs[1], pairs[0]] = z.conj()
+    x[..., np.arange(n), np.arange(n)] = c[..., :m] @ q.T
+    return x
+
+
+def _exact_states(scenario: Scenario, times):
+    """Yield the exact state at each of the ascending non-negative ``times``,
+    walking the real generator M of the module docstring along them."""
+    n = scenario.dim
+    v, g = _decay_basis(scenario.family)
+    vh = v.conj().T
+    h = vh @ scenario.hamiltonian.matrix @ v
+    q, pairs = _traceless_frame(n)
+    basis = _traceless(np.eye(n * n - 1), q, pairs)
+    gen = _coordinates(-1j * (h @ basis - basis @ h) - g * basis, q, pairs).T
+    x = _coordinates(vh @ scenario.initial_state.matrix @ v, q, pairs)
+    eps = np.finfo(float).eps
+    prev, step, prop = 0.0, None, None
+    for t in times:
+        dt = t - prev
+        if dt > 0.0:
+            # Grid spacing is uniform up to the rounding of the grid points.
+            if step is None or abs(dt - step) > 8.0 * eps * t:
+                step, prop = dt, _pade_expm(dt * gen)
+            x = prop @ x
+        prev = t
+        yield v @ (_traceless(x, q, pairs) + np.eye(n) / n) @ vh

@@ -141,18 +141,31 @@ def approx_expanded(h, members, rho0, t):
     return _factorized(h, op, rho0, t)
 
 
-def bch_indicator_superop(h, members, t):
-    """(1/2) ||[tA, tB]||_F from the n^2 x n^2 superoperators
-
-        A = -i (H kron 1 - 1 kron H^T),    B = -sum_j (lambda_j/2) R_j,
-
-    with row-stacking vec: the brute-force route of the splitting indicator."""
+def _superops(h, members):
+    """A = -i (H kron 1 - 1 kron H^T) and B = -sum_j (lambda_j/2) R_j, with
+    row-stacking vec."""
     h = np.asarray(h, dtype=complex)
     ident = np.eye(h.shape[0])
-    a = -1j * t * (np.kron(h, ident) - np.kron(ident, h.T))
+    a = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
     b = np.zeros_like(a)
     for p, lam in members:
-        b -= (t * lam / 2.0) * _coherence_block(np.asarray(p, dtype=complex))
+        b -= (lam / 2.0) * _coherence_block(np.asarray(p, dtype=complex))
+    return a, b
+
+
+def vectorized_generator(h, members):
+    """The complex n^2 x n^2 generator A + B of the vectorized master
+    equation d/dt vec(rho) = (A + B) vec(rho), row-stacking vec."""
+    a, b = _superops(h, members)
+    return a + b
+
+
+def bch_indicator_superop(h, members, t):
+    """(1/2) ||[tA, tB]||_F from the n^2 x n^2 superoperators of
+    :func:`vectorized_generator`: the brute-force route of the splitting
+    indicator."""
+    a, b = _superops(h, members)
+    a, b = t * a, t * b
     return 0.5 * float(np.linalg.norm(a @ b - b @ a))
 
 

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from projlind import analysis, model
+from projlind import analysis, model, propagators
 from projlind.exceptions import DimensionError, InvalidInputError
 
-from oracles import SX, rand_density, rand_orthogonal_projectors
+from oracles import (
+    SX,
+    rand_density,
+    rand_hermitian,
+    rand_orthogonal_projectors,
+    rand_ranks,
+    vectorized_generator,
+)
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 BELL = np.zeros((4, 4), dtype=complex)
@@ -172,6 +179,45 @@ class TestSweep:
         scen = make_scenario(SX, [(P0, 1.0)], np.diag([1.0, 0.0]), [0.1])
         with pytest.raises(InvalidInputError):
             analysis.sweep(scen, "approx")
+
+    def test_stiff_limit_is_maximally_mixed(self):
+        # n = 8, ranks [2, 1, 2], ||H||_2 = 5: the generator's only zero mode
+        # is the identity and every other mode decays at least as fast as
+        # exp(-gamma t), so at gamma t >= 50 the state is 1/n to rounding.
+        rng = np.random.default_rng(8)
+        n, t = 8, 1e8
+        for _ in range(10):
+            ps = rand_orthogonal_projectors(n, [2, 1, 2], rng)
+            members = [(p, float(rng.uniform(0.5, 2.0))) for p in ps]
+            h = rand_hermitian(n, rng)
+            h *= 5.0 / np.linalg.norm(h, 2)
+            eig = np.linalg.eigvals(vectorized_generator(h, members))
+            zero = np.abs(eig) <= 1e-9
+            assert zero.sum() == 1
+            assert -eig[~zero].real.max() * t >= 50.0
+            scen = make_scenario(h, members, rand_density(n, rng), [t])
+            analysis.sweep(scen, "compare")
+            state = propagators.exact_propagate(scen, t).state
+            assert np.linalg.norm(state - np.eye(n) / n) <= 1e-12
+
+    def test_gates_hold_from_soft_to_stiff(self):
+        # Rates over eight decades, ||H|| over seven and log grids up to
+        # t = 1e8: every compare sweep passes the 1e-10 Hermiticity gate of
+        # trace_distance and keeps the exact trace at 1 within 1e-10.
+        rng = np.random.default_rng(300)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            ranks = rand_ranks(n, int(rng.integers(0, n + 1)), rng)
+            ps = rand_orthogonal_projectors(n, ranks, rng)
+            members = [(p, float(10.0 ** rng.uniform(-4.0, 4.0))) for p in ps]
+            h = rand_hermitian(n, rng)
+            h *= 10.0 ** rng.uniform(-4.0, 3.0) / np.linalg.norm(h, 2)
+            t_max = 10.0 ** rng.uniform(-2.0, 8.0)
+            grid = np.geomspace(t_max * 10.0 ** -rng.uniform(0.5, 4.0), t_max,
+                                int(rng.integers(1, 5)))
+            scen = make_scenario(h, members, rand_density(n, rng), grid)
+            for rec in analysis.sweep(scen, "compare"):
+                assert abs(rec.exact_trace - 1.0) <= 1e-10
 
 
 class TestPureDecoherenceCoefficientTracking:

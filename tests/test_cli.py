@@ -84,7 +84,7 @@ class TestRun:
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr("projlind.analysis.exact_propagate", boom)
+        monkeypatch.setattr("projlind.analysis._exact_states", boom)
         code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert "propagation failed" in capsys.readouterr().err
@@ -103,8 +103,8 @@ class TestRun:
             assert abs(float(rec["exact_trace_re"]) - 1.0) <= 1e-10
 
     def test_approx_only_never_touches_exact_path(self, tmp_path, monkeypatch):
-        # n = 16: the exact path would need a 256 x 256 exponential; make
-        # certain it, and every superoperator build, is never even called.
+        # n = 16: the exact path would need a 255 x 255 exponential; make
+        # certain it is never even called.
         rng = np.random.default_rng(99)
         z = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         h = (z + z.conj().T) / 2
@@ -123,10 +123,10 @@ class TestRun:
         def boom(*args, **kwargs):
             raise AssertionError("no n^2 x n^2 work may run in approx-only mode")
 
-        monkeypatch.setattr("projlind.analysis.exact_propagate", boom)
-        # Nor does the indicator build an n^2 x n^2 superoperator.
-        monkeypatch.setattr("projlind.propagators.hamiltonian_superop", boom)
-        monkeypatch.setattr("projlind.propagators.dissipator_superop", boom)
+        monkeypatch.setattr("projlind.analysis._exact_states", boom)
+        # Nor is any generator exponentiated: the closed form's unitary
+        # factor takes the eigendecomposition route, never this one.
+        monkeypatch.setattr("projlind.propagators._pade_expm", boom)
         assert cli.main(["run", "--config", str(cfg), "--mode", "approx-only",
                          "--out", str(out)]) == 0
         rows = read_csv(out)

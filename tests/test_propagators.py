@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from projlind import linalg, model, propagators
+from projlind import analysis, linalg, model, propagators
 from projlind.exceptions import InvalidInputError
 
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
     rand_ranks,
     rand_unitary,
     taylor_expm,
+    vectorized_generator,
 )
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -112,6 +113,51 @@ class TestExactPropagate:
     def test_rejects_negative_time(self):
         with pytest.raises(InvalidInputError):
             propagators.exact_propagate(DEPHASING, -0.1)
+
+    def test_matches_dense_generator_oracle(self):
+        # The unstructured route: exp(t (A + B)) on row-stacked vec(rho0).
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            ps = rand_orthogonal_projectors(n, rand_ranks(n, int(rng.integers(0, n + 1)), rng),
+                                            rng)
+            members = [(p, float(rng.uniform(0.2, 3.0))) for p in ps]
+            h = rand_hermitian(n, rng)
+            rho0 = rand_density(n, rng)
+            t = float(rng.uniform(0.0, 3.0))
+            ref = taylor_expm(t * vectorized_generator(h, members)) @ rho0.reshape(-1)
+            out = propagators.exact_propagate(make_scenario(h, members, rho0, dim=n), t).state
+            assert np.linalg.norm(out - ref.reshape(n, n)) <= 1e-12
+
+
+class TestExactWalk:
+    @pytest.mark.parametrize("stop, count", [(2.0, 12), (500.0, 400)])
+    def test_uniform_grid_takes_one_exponential(self, monkeypatch, stop, count):
+        calls = []
+        original = propagators._pade_expm
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(propagators, "_pade_expm", counted)
+        rng = np.random.default_rng(3)
+        scen = rand_scenario(rng)
+        scen = model.Scenario(scen.hamiltonian, scen.family, scen.initial_state,
+                              np.linspace(0.0, stop, count))
+        records = analysis.sweep(scen, "exact-only")
+        assert len(records) == count
+        assert calls == [(scen.dim ** 2 - 1,) * 2]
+
+    def test_walk_matches_single_points(self):
+        rng = np.random.default_rng(17)
+        for grid in (np.linspace(0.0, 2.0, 12), np.geomspace(1e-2, 50.0, 9)):
+            scen = rand_scenario(rng)
+            walked = list(propagators._exact_states(scen, grid))
+            assert len(walked) == len(grid)
+            for t, state in zip(grid, walked):
+                single = propagators.exact_propagate(scen, t).state
+                assert np.linalg.norm(state - single) <= 1e-12
 
 
 class TestApproxClosed:
