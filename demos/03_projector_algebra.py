@@ -12,7 +12,7 @@ on a random rank-mixed family in dimension 5.
 
 import numpy as np
 
-from projlind import coherence_block_projector, kron, matexp, projector_exp
+from projlind import coherence_block_projector, matexp, projector_exp
 
 rng = np.random.default_rng(7)
 
@@ -40,7 +40,7 @@ for scale in (-3.0, -0.5, 1.0):
 print("\n(c) pair products collapse to P kron P terms:")
 for j in range(3):
     for k in range(j + 1, 3):
-        expected = kron(ps[j], ps[k].T) + kron(ps[k], ps[j].T)
+        expected = np.kron(ps[j], ps[k].T) + np.kron(ps[k], ps[j].T)
         print(f"    ||R{j} R{k} - (P{j} kron P{k}^T + P{k} kron P{j}^T)|| ="
               f" {np.linalg.norm(rs[j] @ rs[k] - expected):.2e}")
 
@@ -59,5 +59,5 @@ for cj, r in zip(c, rs):
     expanded += cj * r
 for j in range(3):
     for k in range(j + 1, 3):
-        expanded += c[j] * c[k] * (kron(ps[j], ps[k].T) + kron(ps[k], ps[j].T))
+        expanded += c[j] * c[k] * (np.kron(ps[j], ps[k].T) + np.kron(ps[k], ps[j].T))
 print(f"\nproduct vs multiplied-out polynomial: {np.linalg.norm(product - expanded):.2e}")

@@ -6,48 +6,18 @@ factorized approximation that is exact whenever the Hamiltonian commutes
 with every projector, and tooling to quantify the gap between the two.
 """
 
-from .analysis import (
-    ErrorRecord,
-    PauliDecomposition,
-    StateDiagnostics,
-    convergence_order,
-    pauli_decompose,
-    pauli_reconstruct,
-    state_diagnostics,
-    sweep,
-    trace_distance,
-)
+from .analysis import (ErrorRecord, PauliDecomposition, StateDiagnostics, convergence_order,
+                       pauli_decompose, pauli_reconstruct, state_diagnostics, sweep,
+                       trace_distance)
 from .config import dumps_config, load_config, parse_config, scenario_to_config
 from .exceptions import ConfigError, DimensionError, InvalidInputError
-from .linalg import (
-    devectorize,
-    hermitian_eigenvalues,
-    kron,
-    matexp,
-    vectorize,
-)
-from .model import (
-    DensityMatrix,
-    FamilyValidation,
-    Hamiltonian,
-    ProjectorFamily,
-    Scenario,
-    apply_dissipator,
-    coherence_block_projector,
-    complement,
-    dissipator_superop,
-    hamiltonian_superop,
-    projector_exp,
-    projector_from_vectors,
-    validate_family,
-)
+from .linalg import devectorize, matexp, vectorize
+from .model import (DensityMatrix, FamilyValidation, Hamiltonian, ProjectorFamily, Scenario,
+                    coherence_block_projector, complement, dissipator_superop,
+                    hamiltonian_superop, projector_exp, projector_from_vectors, validate_family)
 from .presets import PRESET_NAMES, preset_config, preset_scenario, preset_text
-from .propagators import (
-    PropagationResult,
-    approx_propagate_closed,
-    bch_error_indicator,
-    exact_propagate,
-)
+from .propagators import (PropagationResult, approx_propagate_closed, bch_error_indicator,
+                          exact_propagate)
 
 __version__ = "0.1.0"
 
@@ -65,7 +35,6 @@ __all__ = [
     "PRESET_NAMES",
     "Scenario",
     "StateDiagnostics",
-    "apply_dissipator",
     "approx_propagate_closed",
     "bch_error_indicator",
     "coherence_block_projector",
@@ -76,8 +45,6 @@ __all__ = [
     "dumps_config",
     "exact_propagate",
     "hamiltonian_superop",
-    "hermitian_eigenvalues",
-    "kron",
     "load_config",
     "matexp",
     "parse_config",

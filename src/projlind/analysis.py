@@ -8,9 +8,9 @@ from itertools import repeat
 import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
-from .linalg import HERMITICITY_TOL, hermiticity_residual, kron
+from .linalg import HERMITICITY_TOL, hermiticity_residual
 from .model import Scenario
-from .propagators import _bch_constant, _exact_states, approx_propagate_closed
+from .propagators import _approx_states, _bch_constant, _exact_states, _frame
 
 #: Gaps below this are treated as rounding noise by the convergence fit.
 GAP_NOISE_FLOOR = 1e-14
@@ -109,25 +109,24 @@ def pauli_decompose(rho) -> PauliDecomposition:
     if hermiticity_residual(a) > HERMITICITY_TOL:
         raise InvalidInputError("two-qubit state is not Hermitian")
     eye = np.eye(2, dtype=complex)
-    p = np.array([np.trace(a @ kron(s, eye)).real for s in _SIGMAS])
-    q = np.array([np.trace(a @ kron(eye, s)).real for s in _SIGMAS])
-    r = np.array([[np.trace(a @ kron(si, sj)).real for sj in _SIGMAS] for si in _SIGMAS])
-    p.setflags(write=False)
-    q.setflags(write=False)
-    r.setflags(write=False)
+    p = np.array([np.trace(a @ np.kron(s, eye)).real for s in _SIGMAS])
+    q = np.array([np.trace(a @ np.kron(eye, s)).real for s in _SIGMAS])
+    r = np.array([[np.trace(a @ np.kron(si, sj)).real for sj in _SIGMAS] for si in _SIGMAS])
+    for coeffs in (p, q, r):
+        coeffs.setflags(write=False)
     return PauliDecomposition(p=p, q=q, r=r)
 
 
 def pauli_reconstruct(d: PauliDecomposition) -> np.ndarray:
     """Inverse of :func:`pauli_decompose`."""
     eye = np.eye(2, dtype=complex)
-    out = kron(eye, eye).astype(complex)
+    out = np.kron(eye, eye)
     for i, s in enumerate(_SIGMAS):
-        out += d.p[i] * kron(s, eye)
-        out += d.q[i] * kron(eye, s)
+        out += d.p[i] * np.kron(s, eye)
+        out += d.q[i] * np.kron(eye, s)
     for i, si in enumerate(_SIGMAS):
         for j, sj in enumerate(_SIGMAS):
-            out += d.r[i, j] * kron(si, sj)
+            out += d.r[i, j] * np.kron(si, sj)
     return out / 4.0
 
 
@@ -137,17 +136,20 @@ def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
 
     ``compare`` runs the exact and closed-form paths; ``exact-only`` and
     ``approx-only`` run one of them. Fields that need a path the mode does
-    not run are NaN; the indicator is computed in every mode.
+    not run are NaN; the indicator is computed in every mode. The scenario's
+    projector frame is built once, and the states never leave it: every
+    metric is unitarily invariant.
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
     grid = scenario.time_grid
-    states = repeat(None) if mode == "approx-only" else _exact_states(scenario, grid)
-    kappa = _bch_constant(scenario)
+    frame = _frame(scenario)
+    exact_states = repeat(None) if mode == "approx-only" else _exact_states(frame, grid)
+    approx_states = repeat(None) if mode == "exact-only" else _approx_states(frame, grid)
+    kappa = _bch_constant(frame)
     records = []
-    for t, exact in zip(grid, states):
+    for t, exact, approx in zip(grid, exact_states, approx_states):
         t = float(t)
-        approx = None if mode == "exact-only" else approx_propagate_closed(scenario, t).state
         both = exact is not None and approx is not None
         records.append(ErrorRecord(
             time=t,

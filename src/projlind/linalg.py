@@ -1,8 +1,8 @@
-"""Dense complex-matrix kernel.
+"""Dense matrix kernel.
 
-Kronecker products, row-stacking vectorization, matrix exponentials and
-Hermitian eigenvalues, all on plain ``numpy`` arrays of ``complex128``.
-Every function is pure; inputs are never modified.
+Row-stacking vectorization and the matrix exponential, on plain ``numpy``
+arrays: ``complex128``, except that :func:`matexp` keeps ``float64`` input
+real. Every function is pure; inputs are never modified.
 
 The vectorization convention is row stacking: an n x n matrix X maps to
 the length n^2 vector (x11, x12, ..., x1n, ..., xn1, ..., xnn). Under
@@ -42,10 +42,11 @@ _PADE_THETA = (
 )
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+def _as_square(m, real_ok: bool = False) -> np.ndarray:
+    a = np.asarray(m)
+    a = a.astype(float if real_ok and a.dtype == np.float64 else complex, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
+        raise DimensionError(f"matrix must be square, got shape {a.shape}")
     return a
 
 
@@ -58,19 +59,6 @@ def hermiticity_residual(m) -> float:
     """Relative Hermiticity defect ||m - m^dag||_F / max(1, ||m||_F)."""
     a = np.asarray(m, dtype=complex)
     return frobenius(a - a.conj().T) / max(1.0, frobenius(a))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices.
-
-    Block (i, j) of the result equals a[i, j] * b; the output shape is
-    (a.rows * b.rows, a.cols * b.cols).
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("kron expects two 2-D matrices")
-    return np.kron(a, b)
 
 
 def vectorize(x) -> np.ndarray:
@@ -138,44 +126,24 @@ def matexp(m, assume: str | None = None) -> np.ndarray:
     Parameters
     ----------
     m : array_like
-        Square complex matrix with finite entries.
-    assume : {None, "hermitian", "anti_hermitian"}, optional
+        Square matrix with finite entries. ``float64`` input stays real;
+        anything else is computed in ``complex128``.
+    assume : {None, "anti_hermitian"}, optional
         With ``None`` the general scaling-and-squaring Pade path is used.
-        The other two values select an eigendecomposition path and require
-        the input to actually have the claimed symmetry (checked against
-        the relative tolerance ``HERMITICITY_TOL``).
+        ``"anti_hermitian"`` selects an eigendecomposition path, whose result
+        is unitary to rounding, and requires the input to pass the symmetry
+        gate at the relative tolerance ``HERMITICITY_TOL``.
     """
-    a = _as_square(m)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    a = _as_square(m, real_ok=True)
+    if not np.all(np.isfinite(a)):
         raise InvalidInputError("matexp input contains NaN or Inf entries")
 
     if assume is None:
         return _pade_expm(a)
-    if assume == "hermitian":
-        if hermiticity_residual(a) > HERMITICITY_TOL:
-            raise InvalidInputError("matrix flagged hermitian fails the Hermiticity gate")
-        w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-        return (v * np.exp(w)) @ v.conj().T
     if assume == "anti_hermitian":
-        anti = frobenius(a + a.conj().T) / max(1.0, frobenius(a))
-        if anti > HERMITICITY_TOL:
-            raise InvalidInputError("matrix flagged anti_hermitian fails the symmetry gate")
         h = -1j * a  # Hermitian generator: m = i h
+        if hermiticity_residual(h) > HERMITICITY_TOL:
+            raise InvalidInputError("matrix flagged anti_hermitian fails the symmetry gate")
         w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
         return (v * np.exp(1j * w)) @ v.conj().T
     raise ValueError(f"unknown assume={assume!r}")
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, ascending.
-
-    The input must pass the Hermiticity gate; the symmetrized matrix is
-    handed to a dense Hermitian solver.
-    """
-    a = _as_square(m)
-    if hermiticity_residual(a) > HERMITICITY_TOL:
-        raise InvalidInputError(
-            f"matrix is not Hermitian within {HERMITICITY_TOL:g} "
-            f"(residual {hermiticity_residual(a):.3e})"
-        )
-    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)

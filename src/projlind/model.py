@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
-from .linalg import HERMITICITY_TOL, frobenius, hermiticity_residual, kron
+from .linalg import HERMITICITY_TOL, frobenius, hermiticity_residual
 
 #: Uniform absolute tolerance of the model-type validation gates.
 VALIDATION_TOL = 1e-10
@@ -209,9 +209,6 @@ class ProjectorFamily:
     def rates(self) -> tuple:
         return tuple(rate for _, rate in self.members)
 
-    def validation_report(self) -> FamilyValidation:
-        return validate_family(self.members)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -286,21 +283,6 @@ def complement(p) -> np.ndarray:
     return np.eye(a.shape[0], dtype=complex) - a
 
 
-def apply_dissipator(family: ProjectorFamily, rho) -> np.ndarray:
-    """D(rho) = (1/2) sum_j lambda_j (P_j rho Q_j + Q_j rho P_j)."""
-    r = np.asarray(rho, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise DimensionError(f"state must be square, got shape {r.shape}")
-    if r.shape[0] != family.dim:
-        raise DimensionError(f"state dim {r.shape[0]} does not match family dim {family.dim}")
-    out = np.zeros_like(r)
-    eye = np.eye(family.dim, dtype=complex)
-    for p, lam in family:
-        q = eye - p
-        out += (lam / 2.0) * (p @ r @ q + q @ r @ p)
-    return out
-
-
 def hamiltonian_superop(h) -> np.ndarray:
     """Vectorized commutator generator -i (H kron 1 - 1 kron H^T).
 
@@ -309,7 +291,7 @@ def hamiltonian_superop(h) -> np.ndarray:
     """
     m = h.matrix if isinstance(h, Hamiltonian) else Hamiltonian(h).matrix
     eye = np.eye(m.shape[0], dtype=complex)
-    return -1j * (kron(m, eye) - kron(eye, m.T))
+    return -1j * (np.kron(m, eye) - np.kron(eye, m.T))
 
 
 def dissipator_superop(family: ProjectorFamily) -> np.ndarray:
@@ -325,7 +307,7 @@ def dissipator_superop(family: ProjectorFamily) -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     for p, lam in family:
         q = eye - p
-        out -= (lam / 2.0) * (kron(p, q.T) + kron(q, p.T))
+        out -= (lam / 2.0) * (np.kron(p, q.T) + np.kron(q, p.T))
     return out
 
 
@@ -343,7 +325,7 @@ def coherence_block_projector(p) -> np.ndarray:
     """
     a = _check_projector(p, "projector")
     q = np.eye(a.shape[0], dtype=complex) - a
-    return kron(a, q.T) + kron(q, a.T)
+    return np.kron(a, q.T) + np.kron(q, a.T)
 
 
 def projector_exp(scale: float, r) -> np.ndarray:

@@ -9,54 +9,59 @@ with
 the exact solution is vec(rho(t)) = exp(t (A + B)) vec(rho(0)). The
 approximate path replaces exp(t(A+B)) by exp(tA) exp(tB), which is exact
 whenever [A, B] = 0 (in particular for H = 0 or [H, P_j] = 0 for all j).
-The dissipator has one n x n form. The projectors share one eigenbasis V;
-with the remainder 1 - sum_j P_j as an extra block of rate 0, every column
-of V lies in one block, and B rho = -V (G o V^dag rho V) V^dag with
-G_ab = 0 inside a block and (r_a + r_b)/2 between blocks of rates r_a, r_b.
-So exp(tB) rho = V (exp(-tG) o V^dag rho V) V^dag,
-which is the paper's pair expansion prod_j (1 + (e^{-lambda_j t/2} - 1) R_j),
-R_j = P_j kron Q_j^T + Q_j kron P_j^T, summed in closed form. The literal
-product and the multiplied-out pair sum are kept as independent oracles in
-the test suite. The dropped Baker-Campbell-Hausdorff interaction term starts
-at -(1/2) [tA, tB], so the splitting error is second order in t;
-:func:`bch_error_indicator` turns that leading term into a scalar that
-bounds the error. From the same (V, G) and H' = V^dag H V,
+
+All three results live in one frame, built once per scenario. The
+projectors share one eigenbasis V; with the remainder 1 - sum_j P_j as an
+extra block of rate 0, every column of V lies in one block, and
+B rho = -V (G o V^dag rho V) V^dag with G_ab = 0 inside a block and
+(r_a + r_b)/2 between blocks of rates r_a, r_b. The frame is (V, G,
+H' = V^dag H V, X0 = V^dag rho0 V); a state rho appears in it as V^dag rho V.
+
+There the factorized state is U' (exp(-tG) o X0) U'^dag with
+U' = exp(-i t H'), one eigendecomposition of H' per time point. The Schur
+factor is the paper's pair expansion prod_j (1 + (e^{-lambda_j t/2} - 1) R_j),
+R_j = P_j kron Q_j^T + Q_j kron P_j^T, summed in closed form; the literal
+product and the multiplied-out pair sum are independent oracles in the test
+suite. The dropped Baker-Campbell-Hausdorff term starts at -(1/2) [tA, tB],
+so the splitting error is second order in t, and :func:`bch_error_indicator`
+bounds it by
 
     (1/2) ||[tA, tB]||_F = (t^2/2) sqrt(2 sum_{a,c} |H'_ac|^2 D_ac),
     D_ac = sum_x (G_xa - G_xc)^2,
 
-so the approximate path and its indicator cost O(n^3) per time point and
-never form an n^2 x n^2 array; the constant under the square root is
-computed once per scenario.
+whose square root is computed once per scenario. Neither forms an
+n^2 x n^2 array.
 
-The exact path works in the same frame. There the generator is
-L(X) = -i (H'X - XH') - G o X, and it preserves Hermiticity, so it is a real
-matrix in any orthonormal basis of Hermitian matrices (Alicki & Lendi,
-Quantum Dynamical Semigroups, LNP 286). The basis used here is 1/sqrt(n)
-and the n^2 - 1 traceless matrices F_k: diag(q) for the columns q of a
-Householder reflection orthogonal to the all-ones vector, and
-(E_jk + E_kj)/sqrt2 and i (E_jk - E_kj)/sqrt2 for j < k. Since L(1) = 0 and
-L preserves the trace, the row and column of 1/sqrt(n) are zero, and the
-rest is a real (n^2 - 1)-square matrix M: skew-symmetric from the
-commutator minus the non-negative diagonal G_jk of the off-diagonal
+The exact generator in the frame, L(X) = -i (H'X - XH') - G o X, preserves
+Hermiticity, so it is a real matrix in any orthonormal basis of Hermitian
+matrices (Alicki & Lendi, Quantum Dynamical Semigroups, LNP 286). The basis
+used here is 1/sqrt(n) and the n^2 - 1 traceless matrices F_k: diag(q) for
+the columns q of a Householder reflection orthogonal to the all-ones
+vector, and (E_jk + E_kj)/sqrt2 and i (E_jk - E_kj)/sqrt2 for j < k. Since
+L(1) = 0 and L preserves the trace, the row and column of 1/sqrt(n) are
+zero, and the rest is a real (n^2 - 1)-square matrix M: skew-symmetric from
+the commutator minus the non-negative diagonal G_jk of the off-diagonal
 elements, so exp(hM) is a contraction. M is built once per scenario, in
-O(n^5), and the coordinates x of V^dag rho0 V are walked along the grid,
+O(n^5), and the coordinates x of X0 are walked along the grid,
 x <- exp(hM) x with h the step between grid points; an equal step reuses
-the previous exponential. Each state is V (1/n + sum_k x_k F_k) V^dag, so it
-is Hermitian by construction and its trace is 1 to rounding, however stiff
-t L is. The unstructured n^2 x n^2 route exp(t (A + B)) is kept in the test
-suite as an independent oracle.
+the previous exponential. Each state 1/n + sum_k x_k F_k is Hermitian by
+construction and has trace 1 to rounding, however stiff t L is. The
+unstructured route exp(t (A + B)) is an oracle in the test suite.
+
+Every exponential goes through :func:`projlind.linalg.matexp`, and only the
+public functions rotate a frame state back to the lab frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .linalg import _pade_expm, matexp
-from .model import ProjectorFamily, Scenario
+from .linalg import matexp
+from .model import Scenario
 
 METHOD_EXACT = "exact"
 METHOD_APPROX_CLOSED = "approx-closed"
@@ -76,6 +81,36 @@ class PropagationResult:
     method: str
 
 
+class _Frame(NamedTuple):
+    """(V, G, H', X0) of the module docstring."""
+
+    v: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    x0: np.ndarray
+
+
+def _frame(scenario: Scenario) -> _Frame:
+    """The scenario's frame, from one eigendecomposition.
+
+    The eigenvalues of sum_j j P_j (j from 1) label the columns of V: j for
+    the range of P_j, 0 for the remainder. Family validation holds them
+    within 1e-10 of those integers, so rounding recovers the labels.
+    """
+    family = scenario.family
+    n = family.dim
+    weights = sum((j * p for j, p in enumerate(family.projectors, start=1)),
+                  np.zeros((n, n), dtype=complex))
+    w, v = np.linalg.eigh(weights)
+    labels = np.rint(w).astype(int)
+    rates = np.array((0.0,) + family.rates)[labels]
+    g = np.where(labels[:, None] == labels[None, :], 0.0,
+                 (rates[:, None] + rates[None, :]) / 2.0)
+    vh = v.conj().T
+    return _Frame(v, g, vh @ scenario.hamiltonian.matrix @ v,
+                  vh @ scenario.initial_state.matrix @ v)
+
+
 def _check_time(t) -> float:
     t = float(t)
     if not np.isfinite(t) or t < 0.0:
@@ -86,43 +121,26 @@ def _check_time(t) -> float:
 def exact_propagate(scenario: Scenario, t) -> PropagationResult:
     """Exact solution exp(t (A + B)) rho0 from the real trace-deflated
     generator of the module docstring."""
-    t = _check_time(t)
-    return PropagationResult(t, next(_exact_states(scenario, [t])), METHOD_EXACT)
-
-
-def _decay_basis(family: ProjectorFamily) -> tuple[np.ndarray, np.ndarray]:
-    """(V, G) of the module docstring.
-
-    The eigenvalues of sum_j j P_j (j from 1) label the columns of V: j for
-    the range of P_j, 0 for the remainder. Family validation holds them
-    within 1e-10 of those integers, so rounding recovers the labels.
-    """
-    n = family.dim
-    weights = sum((j * p for j, p in enumerate(family.projectors, start=1)),
-                  np.zeros((n, n), dtype=complex))
-    w, v = np.linalg.eigh(weights)
-    labels = np.rint(w).astype(int)
-    rates = np.array((0.0,) + family.rates)[labels]
-    g = np.where(labels[:, None] == labels[None, :], 0.0,
-                 (rates[:, None] + rates[None, :]) / 2.0)
-    return v, g
+    return _propagate(scenario, t, _exact_states, METHOD_EXACT)
 
 
 def approx_propagate_closed(scenario: Scenario, t) -> PropagationResult:
     """Closed-form splitting approximation U exp(tB)(rho0) U^dag with
-    U = exp(-i t H): two Hermitian eigendecompositions and a few n x n
-    products, whatever the number of projectors."""
+    U = exp(-i t H): the frame's V U' (exp(-tG) o X0) U'^dag V^dag, at the
+    cost of one eigendecomposition of H' and a few n x n products, whatever
+    the number of projectors."""
+    return _propagate(scenario, t, _approx_states, METHOD_APPROX_CLOSED)
+
+
+def _propagate(scenario: Scenario, t, states, method: str) -> PropagationResult:
+    """The state that ``states`` yields at ``t``, rotated back to the lab frame."""
     t = _check_time(t)
-    v, g = _decay_basis(scenario.family)
-    vh = v.conj().T
-    body = v @ (np.exp(-t * g) * (vh @ scenario.initial_state.matrix @ v)) @ vh
-    # Eigendecomposition path keeps the factor unitary to rounding.
-    u = matexp(-1j * t * scenario.hamiltonian.matrix, assume="anti_hermitian")
-    return PropagationResult(t, u @ body @ u.conj().T, METHOD_APPROX_CLOSED)
+    frame = _frame(scenario)
+    return PropagationResult(t, frame.v @ next(states(frame, [t])) @ frame.v.conj().T, method)
 
 
 def bch_error_indicator(scenario: Scenario, t) -> float:
-    """(1/2) ||[tA, tB]||_F from (V, G), by the formula of the module docstring.
+    """(1/2) ||[tA, tB]||_F from the frame's G and H', by the module docstring.
 
     Zero exactly when the scenario commutes; grows quadratically in t. It
     bounds the splitting error: A is anti-Hermitian and B Hermitian negative
@@ -132,20 +150,27 @@ def bch_error_indicator(scenario: Scenario, t) -> float:
     (Jahnke & Lubich, BIT 40 (2000); Childs et al., PRX 11, 011020 (2021)).
     """
     t = _check_time(t)
-    return 0.5 * t * t * _bch_constant(scenario)
+    return 0.5 * t * t * _bch_constant(_frame(scenario))
 
 
-def _bch_constant(scenario: Scenario) -> float:
+def _bch_constant(frame: _Frame) -> float:
     """||[A, B]||_F = sqrt(2 sum_{a,c} |H'_ac|^2 D_ac), independent of t."""
-    v, g = _decay_basis(scenario.family)
-    h = v.conj().T @ scenario.hamiltonian.matrix @ v
     # Direct differences: equal-label columns give D = 0 exactly, where an
     # expansion into squares would leave cancellation noise.
-    d = ((g[:, :, None] - g[:, None, :]) ** 2).sum(0)
-    return float(np.sqrt(2.0 * np.sum(np.abs(h) ** 2 * d)))
+    d = ((frame.g[:, :, None] - frame.g[:, None, :]) ** 2).sum(0)
+    return float(np.sqrt(2.0 * np.sum(np.abs(frame.h) ** 2 * d)))
 
 
-def _traceless_frame(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def _approx_states(frame: _Frame, times):
+    """Yield the factorized state U' (exp(-tG) o X0) U'^dag in the frame at
+    each of the ``times``."""
+    for t in times:
+        # Eigendecomposition path keeps the factor unitary to rounding.
+        u = matexp(-1j * t * frame.h, assume="anti_hermitian")
+        yield u @ (np.exp(-t * frame.g) * frame.x0) @ u.conj().T
+
+
+def _traceless_basis(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The diagonal vectors q (columns 2..n of the Householder reflection
     that maps e_1 to the all-ones vector over sqrt(n)) and the index pairs
     j < k of the off-diagonal basis elements."""
@@ -174,17 +199,16 @@ def _traceless(c: np.ndarray, q: np.ndarray, pairs) -> np.ndarray:
     return x
 
 
-def _exact_states(scenario: Scenario, times):
-    """Yield the exact state at each of the ascending non-negative ``times``,
-    walking the real generator M of the module docstring along them."""
-    n = scenario.dim
-    v, g = _decay_basis(scenario.family)
-    vh = v.conj().T
-    h = vh @ scenario.hamiltonian.matrix @ v
-    q, pairs = _traceless_frame(n)
+def _exact_states(frame: _Frame, times):
+    """Yield the exact state in the frame at each of the ascending
+    non-negative ``times``, walking the real generator M of the module
+    docstring along them."""
+    n = frame.v.shape[0]
+    h = frame.h
+    q, pairs = _traceless_basis(n)
     basis = _traceless(np.eye(n * n - 1), q, pairs)
-    gen = _coordinates(-1j * (h @ basis - basis @ h) - g * basis, q, pairs).T
-    x = _coordinates(vh @ scenario.initial_state.matrix @ v, q, pairs)
+    gen = _coordinates(-1j * (h @ basis - basis @ h) - frame.g * basis, q, pairs).T
+    x = _coordinates(frame.x0, q, pairs)
     eps = np.finfo(float).eps
     prev, step, prop = 0.0, None, None
     for t in times:
@@ -192,7 +216,7 @@ def _exact_states(scenario: Scenario, times):
         if dt > 0.0:
             # Grid spacing is uniform up to the rounding of the grid points.
             if step is None or abs(dt - step) > 8.0 * eps * t:
-                step, prop = dt, _pade_expm(dt * gen)
+                step, prop = dt, matexp(dt * gen)
             x = prop @ x
         prev = t
-        yield v @ (_traceless(x, q, pairs) + np.eye(n) / n) @ vh
+        yield _traceless(x, q, pairs) + np.eye(n) / n

@@ -74,6 +74,18 @@ def rand_ranks(n, n_members, rng):
     return ranks
 
 
+def apply_dissipator(members, rho):
+    """D(rho) = (1/2) sum_j lambda_j (P_j rho Q_j + Q_j rho P_j), Q_j = 1 - P_j,
+    for (P_j, lambda_j) pairs, summed term by term."""
+    r = np.asarray(rho, dtype=complex)
+    out = np.zeros_like(r)
+    for p, lam in members:
+        p = np.asarray(p, dtype=complex)
+        q = np.eye(r.shape[0]) - p
+        out = out + (lam / 2.0) * (p @ r @ q + q @ r @ p)
+    return out
+
+
 def dissipator_reference(members, rho):
     """Anticommutator form of the dissipator: (1/2) sum lam (P rho + rho P - 2 P rho P).
 

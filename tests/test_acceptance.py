@@ -19,7 +19,6 @@ from projlind import (
     analysis,
     cli,
     coherence_block_projector,
-    kron,
     matexp,
     presets,
     projector_exp,
@@ -75,7 +74,7 @@ def test_c01_vectorization_identity():
         for _ in range(50):
             a, b, x = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                        for _ in range(3))
-            residual = np.linalg.norm(vectorize(a @ x @ b) - kron(a, b.T) @ vectorize(x))
+            residual = np.linalg.norm(vectorize(a @ x @ b) - np.kron(a, b.T) @ vectorize(x))
             bound = 1e-12 * np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(x)
             assert residual <= bound
 
@@ -96,7 +95,7 @@ def test_c02_projector_facts():
                 assert np.linalg.norm(rs[j] @ rs[l] - rs[l] @ rs[j]) <= 1e-12
         for j in range(k):                  # (c) pair products collapse
             for l in range(j + 1, k):
-                expected = kron(ps[j], ps[l].T) + kron(ps[l], ps[j].T)
+                expected = np.kron(ps[j], ps[l].T) + np.kron(ps[l], ps[j].T)
                 assert np.linalg.norm(rs[j] @ rs[l] - expected) <= 1e-12
         if k >= 3:                          # (d) triple products vanish
             assert np.linalg.norm(rs[0] @ rs[1] @ rs[2]) <= 1e-12

@@ -180,6 +180,27 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             analysis.sweep(scen, "approx")
 
+    @pytest.mark.parametrize("mode, per_point", [
+        ("compare", 1), ("approx-only", 1), ("exact-only", 0)])
+    def test_one_frame_per_sweep(self, monkeypatch, mode, per_point):
+        # One eigh builds the projector frame for the whole grid; each
+        # closed-form point adds one eigh of H' for its unitary factor.
+        rng = np.random.default_rng(5)
+        ps = rand_orthogonal_projectors(5, [2, 1, 1], rng)
+        members = list(zip(ps, (0.5, 1.0, 2.0)))
+        scen = make_scenario(rand_hermitian(5, rng), members, rand_density(5, rng),
+                             np.linspace(0.0, 2.0, 7))
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert len(analysis.sweep(scen, mode)) == 7
+        assert len(calls) == 1 + 7 * per_point
+
     def test_stiff_limit_is_maximally_mixed(self):
         # n = 8, ranks [2, 1, 2], ||H||_2 = 5: the generator's only zero mode
         # is the identity and every other mode decays at least as fast as

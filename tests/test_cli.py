@@ -124,9 +124,9 @@ class TestRun:
             raise AssertionError("no n^2 x n^2 work may run in approx-only mode")
 
         monkeypatch.setattr("projlind.analysis._exact_states", boom)
-        # Nor is any generator exponentiated: the closed form's unitary
-        # factor takes the eigendecomposition route, never this one.
-        monkeypatch.setattr("projlind.propagators._pade_expm", boom)
+        # Nor is anything exponentiated by Pade: the closed form's unitary
+        # factor takes matexp's eigendecomposition route, never this one.
+        monkeypatch.setattr("projlind.linalg._pade_expm", boom)
         assert cli.main(["run", "--config", str(cfg), "--mode", "approx-only",
                          "--out", str(out)]) == 0
         rows = read_csv(out)
