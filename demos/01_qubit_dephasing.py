@@ -29,8 +29,8 @@ scenario = Scenario(
 
 print("t      coherence    exp(-lam t/2)/2   |exact-closed|  |closed-analytic|  purity")
 for t in scenario.time_grid:
-    exact = exact_propagate(scenario, t).state
-    closed = approx_propagate_closed(scenario, t).state
+    exact = exact_propagate(scenario, t)
+    closed = approx_propagate_closed(scenario, t)
     analytic = 0.5 * np.exp(-lam * t / 2)
     diag = state_diagnostics(closed)
     print(f"{t:4.2f}   {abs(closed[0, 1]):.6f}     {analytic:.6f}"
@@ -39,6 +39,6 @@ for t in scenario.time_grid:
 
 # At t = ln 4 the decay factor is exactly 1/4: the hand-checkable value.
 t_star = np.log(4.0)
-rho = exact_propagate(scenario, t_star).state
+rho = exact_propagate(scenario, t_star)
 print(f"\nat t = ln 4: rho =\n{np.round(rho.real, 6)}")
 print("off-diagonal is 1/4 of its initial value 0.5, i.e. 0.125")

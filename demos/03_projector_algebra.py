@@ -1,6 +1,6 @@
 """The superoperator algebra that makes the closed form possible.
 
-Each projector P with complement Q = 1 - P lifts to a coherence-block
+Each projector P, with Q = 1 - P, lifts to a coherence-block
 projector R = P kron Q^T + Q kron P^T acting on row-stacked states. Across
 a mutually orthogonal family these operators (a) are projectors, commuting
 with each other, (b) exponentiate in closed form, (c) multiply pairwise to

@@ -24,8 +24,8 @@ scenario = preset_scenario("two-qubit-rank2")
 
 print("t       |p|       |q|       |r|_F     coeff gap (exact vs closed)")
 for t in scenario.time_grid:
-    exact = pauli_decompose(exact_propagate(scenario, t).state)
-    closed = pauli_decompose(approx_propagate_closed(scenario, t).state)
+    exact = pauli_decompose(exact_propagate(scenario, t))
+    closed = pauli_decompose(approx_propagate_closed(scenario, t))
     gap = max(np.linalg.norm(exact.p - closed.p),
               np.linalg.norm(exact.q - closed.q),
               np.linalg.norm(exact.r - closed.r))
@@ -33,7 +33,7 @@ for t in scenario.time_grid:
           f"   {np.linalg.norm(closed.r):.5f}   {gap:.2e}")
 
 # The decomposition is exactly invertible.
-rho_end = approx_propagate_closed(scenario, scenario.time_grid[-1]).state
+rho_end = approx_propagate_closed(scenario, scenario.time_grid[-1])
 back = pauli_reconstruct(pauli_decompose(rho_end))
 print(f"\nreconstruction residual at final time: {np.linalg.norm(back - rho_end):.2e}")
 

@@ -9,15 +9,14 @@ with every projector, and tooling to quantify the gap between the two.
 from .analysis import (ErrorRecord, PauliDecomposition, StateDiagnostics, convergence_order,
                        pauli_decompose, pauli_reconstruct, state_diagnostics, sweep,
                        trace_distance)
-from .config import dumps_config, load_config, parse_config, scenario_to_config
+from .config import dumps_config, load_config, parse_config
 from .exceptions import ConfigError, DimensionError, InvalidInputError
 from .linalg import devectorize, matexp, vectorize
 from .model import (DensityMatrix, FamilyValidation, Hamiltonian, ProjectorFamily, Scenario,
-                    coherence_block_projector, complement, dissipator_superop,
-                    hamiltonian_superop, projector_exp, projector_from_vectors, validate_family)
-from .presets import PRESET_NAMES, preset_config, preset_scenario, preset_text
-from .propagators import (PropagationResult, approx_propagate_closed, bch_error_indicator,
-                          exact_propagate)
+                    coherence_block_projector, dissipator_superop, hamiltonian_superop,
+                    projector_exp, projector_from_vectors, validate_family)
+from .presets import PRESET_NAMES, preset_scenario, preset_text
+from .propagators import approx_propagate_closed, bch_error_indicator, exact_propagate
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,6 @@ __all__ = [
     "Hamiltonian",
     "InvalidInputError",
     "PauliDecomposition",
-    "PropagationResult",
     "ProjectorFamily",
     "PRESET_NAMES",
     "Scenario",
@@ -38,7 +36,6 @@ __all__ = [
     "approx_propagate_closed",
     "bch_error_indicator",
     "coherence_block_projector",
-    "complement",
     "convergence_order",
     "devectorize",
     "dissipator_superop",
@@ -50,12 +47,10 @@ __all__ = [
     "parse_config",
     "pauli_decompose",
     "pauli_reconstruct",
-    "preset_config",
     "preset_scenario",
     "preset_text",
     "projector_exp",
     "projector_from_vectors",
-    "scenario_to_config",
     "state_diagnostics",
     "sweep",
     "trace_distance",

@@ -108,13 +108,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        members = config.load_members(args.config)
     except OSError as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        members = config.parse_members(text)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -22,11 +22,13 @@ A configuration is a single JSON object with these keys:
     n x n density matrix, entries as ``[re, im]``.
 ``time_grid``
     Either an explicit ascending list of non-negative numbers, or an object
-    ``{"start": a, "stop": b, "count": k, "spacing": "linear" | "log"}``.
-    Log spacing requires start > 0.
+    ``{"start": a, "stop": b, "count": k, "spacing": "linear" | "log"}``
+    with numbers a, b and an integer k. Log spacing requires a > 0 and b > 0.
 
-Syntax errors raise :class:`~projlind.exceptions.ConfigError` with the
-line and column; invariant violations raise
+A file is read once, as UTF-8 text, by :func:`load_config` or
+:func:`load_members`; bytes that are not UTF-8 raise
+:class:`~projlind.exceptions.ConfigError`, and so do syntax errors, with
+the line and column. Invariant violations raise
 :class:`~projlind.exceptions.InvalidInputError` carrying the offending
 field, projector index or pair, and the measured residual.
 """
@@ -43,9 +45,13 @@ from .model import DensityMatrix, Hamiltonian, ProjectorFamily, Scenario, projec
 _REQUIRED_KEYS = ("dimension", "hamiltonian", "projectors", "initial_state", "time_grid")
 
 
+def _is_number(x) -> bool:
+    """True for a JSON number; a JSON bool parses to a Python int, but is not one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _complex_entry(node, path: str) -> complex:
-    if (not isinstance(node, (list, tuple)) or len(node) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)):
+    if not isinstance(node, (list, tuple)) or len(node) != 2 or not all(map(_is_number, node)):
         raise ConfigError(f"{path}: expected a [re, im] pair, got {node!r}")
     return complex(float(node[0]), float(node[1]))
 
@@ -62,27 +68,20 @@ def _complex_matrix(node, path: str, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _complex_vector(node, path: str, length: int) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != length:
-        raise ConfigError(f"{path}: expected {length} entries")
-    return np.array([_complex_entry(e, f"{path}[{j}]") for j, e in enumerate(node)])
-
-
 def _time_grid(node, path: str) -> np.ndarray:
     if isinstance(node, list):
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node):
+        if not all(map(_is_number, node)):
             raise ConfigError(f"{path}: explicit grid must contain numbers only")
         return np.array([float(x) for x in node])
     if isinstance(node, dict):
         extra = set(node) - {"start", "stop", "count", "spacing"}
         if extra:
             raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
-        try:
-            start = float(node["start"])
-            stop = float(node["stop"])
-            count = int(node["count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: needs numeric start, stop and integer count") from exc
+        start, stop, count = (node.get(key) for key in ("start", "stop", "count"))
+        if not (_is_number(start) and _is_number(stop) and _is_number(count)
+                and isinstance(count, int)):
+            raise ConfigError(f"{path}: needs numeric start, stop and integer count")
+        start, stop = float(start), float(stop)
         spacing = node.get("spacing", "linear")
         if count < 1:
             raise ConfigError(f"{path}: count must be >= 1, got {count}")
@@ -91,6 +90,8 @@ def _time_grid(node, path: str) -> np.ndarray:
         if spacing == "log":
             if start <= 0.0:
                 raise ConfigError(f"{path}: log spacing requires start > 0, got {start}")
+            if stop <= 0.0:
+                raise ConfigError(f"{path}: log spacing requires stop > 0, got {stop}")
             return np.geomspace(start, stop, count)
         raise ConfigError(f"{path}.spacing: expected 'linear' or 'log', got {spacing!r}")
     raise ConfigError(f"{path}: expected a list of times or a start/stop/count object")
@@ -109,7 +110,7 @@ def _parse_members(doc: dict, n: int) -> list[tuple[np.ndarray, float]]:
         if "rate" not in item:
             raise ConfigError(f"{path}: missing rate")
         rate = item["rate"]
-        if not isinstance(rate, (int, float)) or isinstance(rate, bool):
+        if not _is_number(rate):
             raise ConfigError(f"{path}.rate: expected a number, got {rate!r}")
         has_matrix = "matrix" in item
         has_vectors = "vectors" in item
@@ -121,8 +122,8 @@ def _parse_members(doc: dict, n: int) -> list[tuple[np.ndarray, float]]:
             vecs_node = item["vectors"]
             if not isinstance(vecs_node, list) or not vecs_node:
                 raise ConfigError(f"{path}.vectors: expected a non-empty list of vectors")
-            vecs = [_complex_vector(v, f"{path}.vectors[{k}]", n)
-                    for k, v in enumerate(vecs_node)]
+            # One vector per row.
+            vecs = _complex_matrix(vecs_node, f"{path}.vectors", len(vecs_node), n)
             try:
                 p = projector_from_vectors(vecs)
             except InvalidInputError as exc:
@@ -151,10 +152,19 @@ def _parse_document(text: str) -> dict:
     return doc
 
 
-def parse_members(text: str) -> list[tuple[np.ndarray, float]]:
-    """Raw (projector matrix, rate) pairs of a configuration document, before
-    the family axioms are enforced, for reporting on them."""
-    doc = _parse_document(text)
+def _read(path) -> str:
+    """The text of a configuration file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc}") from exc
+
+
+def load_members(path) -> list[tuple[np.ndarray, float]]:
+    """Raw (projector matrix, rate) pairs of a configuration file, before the
+    family axioms are enforced, for reporting on them."""
+    doc = _parse_document(_read(path))
     return _parse_members(doc, doc["dimension"])
 
 
@@ -186,8 +196,7 @@ def parse_config(text: str) -> Scenario:
 
 def load_config(path) -> Scenario:
     """Read and parse a configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(_read(path))
 
 
 def _matrix_to_json(m) -> list:
@@ -196,10 +205,11 @@ def _matrix_to_json(m) -> list:
             for i in range(a.shape[0])]
 
 
-def scenario_to_config(scenario: Scenario) -> dict:
-    """Serialize a Scenario to the JSON schema. Round-trips exactly: floats
-    are emitted at full precision, so re-parsing reproduces the scenario."""
-    return {
+def dumps_config(scenario: Scenario) -> str:
+    """Serialize a Scenario to JSON text in the schema. Round-trips exactly:
+    floats are emitted at full precision, so re-parsing reproduces the
+    scenario."""
+    return json.dumps({
         "dimension": scenario.dim,
         "hamiltonian": _matrix_to_json(scenario.hamiltonian.matrix),
         "projectors": [
@@ -208,9 +218,4 @@ def scenario_to_config(scenario: Scenario) -> dict:
         ],
         "initial_state": _matrix_to_json(scenario.initial_state.matrix),
         "time_grid": [float(t) for t in scenario.time_grid],
-    }
-
-
-def dumps_config(scenario: Scenario) -> str:
-    """JSON text of :func:`scenario_to_config`."""
-    return json.dumps(scenario_to_config(scenario), indent=2)
+    }, indent=2)

@@ -50,15 +50,10 @@ def _as_square(m, real_ok: bool = False) -> np.ndarray:
     return a
 
 
-def frobenius(m) -> float:
-    """Frobenius norm of a matrix or vector."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def hermiticity_residual(m) -> float:
     """Relative Hermiticity defect ||m - m^dag||_F / max(1, ||m||_F)."""
     a = np.asarray(m, dtype=complex)
-    return frobenius(a - a.conj().T) / max(1.0, frobenius(a))
+    return float(np.linalg.norm(a - a.conj().T) / max(1.0, np.linalg.norm(a)))
 
 
 def vectorize(x) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
-from .linalg import HERMITICITY_TOL, frobenius, hermiticity_residual
+from .linalg import HERMITICITY_TOL, hermiticity_residual
 
 #: Uniform absolute tolerance of the model-type validation gates.
 VALIDATION_TOL = 1e-10
@@ -88,7 +88,6 @@ class Hamiltonian:
 class FamilyValidation:
     """Per-member residual report produced by :func:`validate_family`."""
 
-    tolerance: float
     hermiticity: tuple[float, ...]
     idempotency: tuple[float, ...]
     orthogonality: tuple[tuple[int, int, float], ...]
@@ -101,7 +100,7 @@ class FamilyValidation:
 
     def lines(self) -> list[str]:
         """Human-readable report, one line per checked quantity."""
-        out = [f"tolerance: {self.tolerance:g}"]
+        out = [f"tolerance: {VALIDATION_TOL:g}"]
         for j, (h, i, r) in enumerate(zip(self.hermiticity, self.idempotency, self.rates)):
             out.append(f"projector {j}: hermiticity {h:.3e}  idempotency {i:.3e}  rate {r:g}")
         for j, k, res in self.orthogonality:
@@ -111,14 +110,14 @@ class FamilyValidation:
         return out
 
 
-def validate_family(members, tolerance: float = VALIDATION_TOL) -> FamilyValidation:
+def validate_family(members) -> FamilyValidation:
     """Check projector-family axioms and report residuals.
 
     ``members`` is a sequence of (matrix, rate) pairs. Each projector must be
     Hermitian and idempotent, distinct projectors must be mutually orthogonal
-    (P_j P_k = 0) and every rate must be a positive finite number. The report
-    never raises on numeric violations; structural problems (non-square or
-    mismatched shapes) do raise.
+    (P_j P_k = 0), all within ``VALIDATION_TOL``, and every rate must be a
+    positive finite number. The report never raises on numeric violations;
+    structural problems (non-square or mismatched shapes) do raise.
     """
     mats = []
     rates = []
@@ -133,29 +132,26 @@ def validate_family(members, tolerance: float = VALIDATION_TOL) -> FamilyValidat
     herm = []
     idem = []
     for j, p in enumerate(mats):
-        h = frobenius(p - p.conj().T)
-        i = frobenius(p @ p - p)
-        herm.append(h)
-        idem.append(i)
-        if h > tolerance:
-            failures.append(f"projector {j}: hermiticity residual {h:.3e} exceeds {tolerance:g}")
-        if i > tolerance:
-            failures.append(f"projector {j}: idempotency residual {i:.3e} exceeds {tolerance:g}")
+        herm.append(float(np.linalg.norm(p - p.conj().T)))
+        idem.append(float(np.linalg.norm(p @ p - p)))
+        for what, res in (("hermiticity", herm[-1]), ("idempotency", idem[-1])):
+            if res > VALIDATION_TOL:
+                failures.append(
+                    f"projector {j}: {what} residual {res:.3e} exceeds {VALIDATION_TOL:g}")
     ortho = []
     for j in range(len(mats)):
         for k in range(j + 1, len(mats)):
-            res = frobenius(mats[j] @ mats[k])
+            res = float(np.linalg.norm(mats[j] @ mats[k]))
             ortho.append((j, k, res))
-            if res > tolerance:
+            if res > VALIDATION_TOL:
                 failures.append(
                     f"projector pair ({j}, {k}): not mutually orthogonal "
-                    f"(residual {res:.3e} exceeds {tolerance:g})")
+                    f"(residual {res:.3e} exceeds {VALIDATION_TOL:g})")
     for j, rate in enumerate(rates):
         if not np.isfinite(rate) or rate <= 0.0:
             failures.append(f"projector {j}: rate must be a positive number, got {rate!r}")
 
     return FamilyValidation(
-        tolerance=tolerance,
         hermiticity=tuple(herm),
         idempotency=tuple(idem),
         orthogonality=tuple(ortho),
@@ -256,10 +252,9 @@ def projector_from_vectors(vectors) -> np.ndarray:
     if any(v.size != n for v in vs):
         raise DimensionError("vectors have mixed lengths")
     gram = np.array([[vj.conj() @ vk for vk in vs] for vj in vs])
-    if frobenius(gram - np.eye(len(vs))) > VALIDATION_TOL:
-        raise InvalidInputError(
-            f"vectors are not orthonormal (Gram residual "
-            f"{frobenius(gram - np.eye(len(vs))):.3e})")
+    residual = np.linalg.norm(gram - np.eye(len(vs)))
+    if residual > VALIDATION_TOL:
+        raise InvalidInputError(f"vectors are not orthonormal (Gram residual {residual:.3e})")
     p = np.zeros((n, n), dtype=complex)
     for v in vs:
         p += np.outer(v, v.conj())
@@ -271,16 +266,10 @@ def _check_projector(p, name: str = "input") -> np.ndarray:
     if hermiticity_residual(a) > HERMITICITY_TOL:
         raise InvalidInputError(
             f"{name} is not Hermitian (residual {hermiticity_residual(a):.3e})")
-    idem = frobenius(a @ a - a)
+    idem = np.linalg.norm(a @ a - a)
     if idem > VALIDATION_TOL:
         raise InvalidInputError(f"{name} is not idempotent (residual {idem:.3e})")
     return a
-
-
-def complement(p) -> np.ndarray:
-    """Complementary projector Q = 1 - P."""
-    a = _check_projector(p, "projector")
-    return np.eye(a.shape[0], dtype=complex) - a
 
 
 def hamiltonian_superop(h) -> np.ndarray:
@@ -314,7 +303,7 @@ def dissipator_superop(family: ProjectorFamily) -> np.ndarray:
 def coherence_block_projector(p) -> np.ndarray:
     """Superoperator projecting onto the cross blocks between ran(P) and ran(Q).
 
-    For a projector P with complement Q = 1 - P this is
+    For a projector P and Q = 1 - P this is
 
         R = P kron Q^T + Q kron P^T,
 

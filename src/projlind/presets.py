@@ -94,16 +94,11 @@ PRESETS: dict[str, dict] = {
 PRESET_NAMES = tuple(PRESETS)
 
 
-def preset_config(name: str) -> dict:
-    """Deep copy of the named preset document."""
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return json.loads(json.dumps(PRESETS[name]))
-
-
 def preset_text(name: str) -> str:
     """The named preset as formatted JSON text."""
-    return json.dumps(preset_config(name), indent=2)
+    if name not in PRESETS:
+        raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return json.dumps(PRESETS[name], indent=2)
 
 
 def preset_scenario(name: str) -> Scenario:

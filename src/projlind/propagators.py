@@ -54,7 +54,6 @@ public functions rotate a frame state back to the lab frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,23 +61,6 @@ import numpy as np
 from .exceptions import InvalidInputError
 from .linalg import matexp
 from .model import Scenario
-
-METHOD_EXACT = "exact"
-METHOD_APPROX_CLOSED = "approx-closed"
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    """State at one time point.
-
-    ``state`` is stored raw (not re-validated as a density matrix) so that
-    downstream diagnostics can measure constraint violations instead of
-    masking them.
-    """
-
-    time: float
-    state: np.ndarray
-    method: str
 
 
 class _Frame(NamedTuple):
@@ -118,25 +100,29 @@ def _check_time(t) -> float:
     return t
 
 
-def exact_propagate(scenario: Scenario, t) -> PropagationResult:
+def exact_propagate(scenario: Scenario, t) -> np.ndarray:
     """Exact solution exp(t (A + B)) rho0 from the real trace-deflated
-    generator of the module docstring."""
-    return _propagate(scenario, t, _exact_states, METHOD_EXACT)
+    generator of the module docstring.
+
+    Returns the lab-frame state as a plain ndarray, still unvalidated."""
+    return _propagate(scenario, t, _exact_states)
 
 
-def approx_propagate_closed(scenario: Scenario, t) -> PropagationResult:
+def approx_propagate_closed(scenario: Scenario, t) -> np.ndarray:
     """Closed-form splitting approximation U exp(tB)(rho0) U^dag with
     U = exp(-i t H): the frame's V U' (exp(-tG) o X0) U'^dag V^dag, at the
     cost of one eigendecomposition of H' and a few n x n products, whatever
-    the number of projectors."""
-    return _propagate(scenario, t, _approx_states, METHOD_APPROX_CLOSED)
+    the number of projectors.
+
+    Returns the lab-frame state as a plain ndarray, still unvalidated."""
+    return _propagate(scenario, t, _approx_states)
 
 
-def _propagate(scenario: Scenario, t, states, method: str) -> PropagationResult:
+def _propagate(scenario: Scenario, t, states) -> np.ndarray:
     """The state that ``states`` yields at ``t``, rotated back to the lab frame."""
     t = _check_time(t)
     frame = _frame(scenario)
-    return PropagationResult(t, frame.v @ next(states(frame, [t])) @ frame.v.conj().T, method)
+    return frame.v @ next(states(frame, [t])) @ frame.v.conj().T
 
 
 def bch_error_indicator(scenario: Scenario, t) -> float:

@@ -121,7 +121,7 @@ def test_c03_projector_exponential():
 def test_c04_three_form_equivalence():
     def check(scen, t):
         parts = (scen.hamiltonian.matrix, scen.family, scen.initial_state.matrix, t)
-        closed = propagators.approx_propagate_closed(scen, t).state
+        closed = propagators.approx_propagate_closed(scen, t)
         product = approx_product(*parts)
         expanded = approx_expanded(*parts)
         assert np.linalg.norm(closed - product) <= 1e-12
@@ -142,8 +142,8 @@ def test_c05_exactness_in_commuting_cases():
 
     def max_gap(scen):
         return max(
-            np.linalg.norm(propagators.exact_propagate(scen, t).state
-                           - propagators.approx_propagate_closed(scen, t).state)
+            np.linalg.norm(propagators.exact_propagate(scen, t)
+                           - propagators.approx_propagate_closed(scen, t))
             for t in scen.time_grid)
 
     # H = 0: the dephasing preset plus random pure-decoherence scenarios
@@ -189,7 +189,7 @@ def test_c07_approximation_is_physical():
     for _ in range(100):
         scen = rand_scenario(rng)
         t = float(rng.uniform(0.0, 3.0))
-        out = propagators.approx_propagate_closed(scen, t).state
+        out = propagators.approx_propagate_closed(scen, t)
         assert abs(np.trace(out) - 1.0) <= 1e-12
         assert np.linalg.norm(out - out.conj().T) <= 1e-12
         assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-10
@@ -201,11 +201,11 @@ def test_c08_exact_path_sanity():
     for _ in range(5):
         scen = rand_scenario(rng)
         t1, t2 = rng.uniform(0.1, 1.0, size=2)
-        once = propagators.exact_propagate(scen, t1 + t2).state
-        mid = propagators.exact_propagate(scen, t1).state
+        once = propagators.exact_propagate(scen, t1 + t2)
+        mid = propagators.exact_propagate(scen, t1)
         scen2 = Scenario(scen.hamiltonian, scen.family,
                          DensityMatrix((mid + mid.conj().T) / 2), scen.time_grid)
-        twice = propagators.exact_propagate(scen2, t2).state
+        twice = propagators.exact_propagate(scen2, t2)
         assert np.linalg.norm(once - twice) <= 1e-10
 
     for _ in range(5):
@@ -216,7 +216,7 @@ def test_c08_exact_path_sanity():
                         DensityMatrix(rho0), [0.0, 1.0])
         t = float(rng.uniform(0.2, 2.0))
         u = taylor_expm(-1j * t * h)
-        gap = np.linalg.norm(propagators.exact_propagate(scen, t).state
+        gap = np.linalg.norm(propagators.exact_propagate(scen, t)
                              - u @ rho0 @ u.conj().T)
         assert gap <= 1e-10
 
@@ -241,7 +241,7 @@ def test_c09_dephasing_hand_value():
         base.time_grid,
     )
     for path in (propagators.exact_propagate, propagators.approx_propagate_closed):
-        out = path(scen, t).state
+        out = path(scen, t)
         assert np.linalg.norm(out - frozen) <= 1e-12
         # off-diagonal decays to exactly 1/4 of its initial value 0.5
         assert abs(out[0, 1] / 0.5 - 0.25) <= 1e-12

@@ -218,7 +218,7 @@ class TestSweep:
             assert -eig[~zero].real.max() * t >= 50.0
             scen = make_scenario(h, members, rand_density(n, rng), [t])
             analysis.sweep(scen, "compare")
-            state = propagators.exact_propagate(scen, t).state
+            state = propagators.exact_propagate(scen, t)
             assert np.linalg.norm(state - np.eye(n) / n) <= 1e-12
 
     def test_gates_hold_from_soft_to_stiff(self):
@@ -251,8 +251,8 @@ class TestPureDecoherenceCoefficientTracking:
         scen = make_scenario(np.zeros((4, 4)), [(p, 1.2), (np.diag([0, 0, 1.0, 0]), 0.6)],
                              rand_density(4, rng), np.linspace(0.0, 2.0, 5))
         for t in scen.time_grid:
-            de = analysis.pauli_decompose(exact_propagate(scen, t).state)
-            da = analysis.pauli_decompose(approx_propagate_closed(scen, t).state)
+            de = analysis.pauli_decompose(exact_propagate(scen, t))
+            da = analysis.pauli_decompose(approx_propagate_closed(scen, t))
             assert np.linalg.norm(de.p - da.p) <= 1e-10
             assert np.linalg.norm(de.q - da.q) <= 1e-10
             assert np.linalg.norm(de.r - da.r) <= 1e-10

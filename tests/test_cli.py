@@ -167,6 +167,19 @@ class TestRun:
             assert len(read_csv(out)) - 1 == scen.time_grid.size
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(presets.preset_text("driven-qubit").replace("0.025", "0.025\xe9")
+                    .encode("latin-1"))
+    out = ["--out", str(tmp_path / "report.csv")] if command == "run" else []
+    code = cli.main([command, "--config", str(cfg)] + out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
 class TestValidate:
     def test_good_family_passes(self, tmp_path, capsys):
         cfg = write_preset(tmp_path, "three-projector")

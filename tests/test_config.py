@@ -122,6 +122,27 @@ class TestTimeGrid:
         with pytest.raises(ConfigError, match="start > 0"):
             parse(doc)
 
+    @pytest.mark.parametrize("grid, match", [
+        pytest.param('{"start": 0, "stop": 1, "count": 2.7}', "integer count", id="count-2.7"),
+        pytest.param('{"start": 0, "stop": 1, "count": 4.0}', "integer count", id="count-4.0"),
+        pytest.param('{"start": 0, "stop": 1, "count": true}', "integer count", id="count-true"),
+        pytest.param('{"start": 0, "stop": 1, "count": "4"}', "integer count", id="count-str"),
+        pytest.param('{"start": 0, "stop": 1, "count": 1e400}', "integer count",
+                     id="count-1e400"),
+        pytest.param('{"start": true, "stop": 1, "count": 4}', "integer count", id="start-true"),
+        pytest.param('{"start": "0.5", "stop": 1, "count": 4}', "integer count",
+                     id="start-str"),
+        pytest.param('{"start": 0.5, "stop": 0, "count": 4, "spacing": "log"}',
+                     "log spacing requires stop > 0", id="log-stop-0"),
+        pytest.param('{"start": 0.5, "stop": -1, "count": 4, "spacing": "log"}',
+                     "log spacing requires stop > 0", id="log-stop-negative"),
+    ])
+    def test_object_form_rejects_bad_values(self, grid, match):
+        # Raw JSON text: 1e400 has no json.dumps spelling.
+        text = json.dumps(minimal_doc(time_grid=None)).replace("null", grid)
+        with pytest.raises(ConfigError, match=match):
+            config.parse_config(text)
+
     def test_descending_grid_rejected(self):
         with pytest.raises(InvalidInputError, match="ascending"):
             parse(minimal_doc(time_grid=[1.0, 0.5]))
@@ -132,11 +153,11 @@ class TestRoundTrip:
         scen = presets.preset_scenario("three-projector")
         reparsed = config.parse_config(config.dumps_config(scen))
         for t in (0.3, 1.1):
-            a = propagators.approx_propagate_closed(scen, t).state
-            b = propagators.approx_propagate_closed(reparsed, t).state
+            a = propagators.approx_propagate_closed(scen, t)
+            b = propagators.approx_propagate_closed(reparsed, t)
             assert np.linalg.norm(a - b) <= 1e-14
-            e1 = propagators.exact_propagate(scen, t).state
-            e2 = propagators.exact_propagate(reparsed, t).state
+            e1 = propagators.exact_propagate(scen, t)
+            e2 = propagators.exact_propagate(reparsed, t)
             assert np.linalg.norm(e1 - e2) <= 1e-14
 
     def test_roundtrip_preserves_grid_exactly(self):

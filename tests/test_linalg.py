@@ -8,43 +8,6 @@ from projlind.exceptions import DimensionError, InvalidInputError
 from oracles import rand_hermitian, taylor_expm
 
 
-def test_kron_identity_case():
-    assert_allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4), atol=0)
-
-
-def test_kron_diagonal_projectors():
-    out = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert_allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]), atol=0)
-
-
-def test_kron_block_structure():
-    # kron(swap, I2) swaps the 2x2 blocks; brute-force entrywise check.
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = np.kron(swap, np.eye(2))
-    expected = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            expected[2 * i:2 * i + 2, 2 * j:2 * j + 2] = swap[i, j] * np.eye(2)
-    assert_allclose(out, expected, atol=0)
-
-
-def test_kron_mixed_product_property():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a, b, c, d = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4))
-        lhs = np.kron(a, b) @ np.kron(c, d)
-        rhs = np.kron(a @ c, b @ d)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(8)
-    a, b, c = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3))
-    lhs = np.kron(np.kron(a, b), c)
-    rhs = np.kron(a, np.kron(b, c))
-    assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-
 def test_vectorize_row_stacking_order():
     out = linalg.vectorize(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert_allclose(out, [1.0, 2.0, 3.0, 4.0], atol=0)

@@ -122,25 +122,6 @@ class TestProjectorFromVectors:
             model.projector_from_vectors([np.array([1, 0]), np.array([1, 1]) / np.sqrt(2)])
 
 
-class TestComplement:
-    def test_examples(self):
-        assert_allclose(model.complement(P0), np.diag([0.0, 1.0]), atol=0)
-        assert_allclose(model.complement(np.zeros((3, 3))), np.eye(3), atol=0)
-        assert_allclose(model.complement(HADAMARD_PLUS), HADAMARD_MINUS, atol=1e-15)
-
-    def test_involution_and_orthogonality(self):
-        rng = np.random.default_rng(17)
-        p = rand_orthogonal_projectors(5, [2], rng)[0]
-        q = model.complement(p)
-        assert_allclose(model.complement(q), p, atol=0)
-        assert np.linalg.norm(p @ q) <= 1e-10
-        assert np.linalg.norm(q @ p) <= 1e-10
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(InvalidInputError, match="idempotent"):
-            model.complement(2.0 * P0)
-
-
 class TestApplyDissipator:
     def test_hand_expanded_example(self):
         fam = family((P0, 2.0))
