@@ -25,6 +25,10 @@ A configuration is a single JSON object with these keys:
     ``{"start": a, "stop": b, "count": k, "spacing": "linear" | "log"}``
     with numbers a, b and an integer k. Log spacing requires a > 0 and b > 0.
 
+Every number must fit a float. Each matrix is read with one numpy conversion;
+a node it rejects, and every matrix of a text holding ``true`` or ``false``
+(numpy would read a bool as a number), takes the per-entry walk instead.
+
 A file is read once, as UTF-8 text, by :func:`load_config` or
 :func:`load_members`; bytes that are not UTF-8 raise
 :class:`~projlind.exceptions.ConfigError`, and so do syntax errors, with
@@ -50,13 +54,27 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _float(x, path: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ConfigError(f"{path}: number out of range") from None
+
+
 def _complex_entry(node, path: str) -> complex:
     if not isinstance(node, (list, tuple)) or len(node) != 2 or not all(map(_is_number, node)):
         raise ConfigError(f"{path}: expected a [re, im] pair, got {node!r}")
-    return complex(float(node[0]), float(node[1]))
+    return complex(_float(node[0], path), _float(node[1], path))
 
 
-def _complex_matrix(node, path: str, rows: int, cols: int) -> np.ndarray:
+def _complex_matrix(node, path: str, rows: int, cols: int, fast: bool) -> np.ndarray:
+    try:
+        a = np.asarray(node) if fast else None
+    except ValueError:  # ragged nesting
+        a = None
+    if a is not None and a.dtype.kind in "fi" and a.shape == (rows, cols, 2):
+        # The view keeps -0.0, inf and nan exactly as complex(re, im) does.
+        return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
     if not isinstance(node, list) or len(node) != rows:
         raise ConfigError(f"{path}: expected {rows} rows")
     out = np.zeros((rows, cols), dtype=complex)
@@ -72,7 +90,7 @@ def _time_grid(node, path: str) -> np.ndarray:
     if isinstance(node, list):
         if not all(map(_is_number, node)):
             raise ConfigError(f"{path}: explicit grid must contain numbers only")
-        return np.array([float(x) for x in node])
+        return np.array([_float(x, f"{path}[{i}]") for i, x in enumerate(node)])
     if isinstance(node, dict):
         extra = set(node) - {"start", "stop", "count", "spacing"}
         if extra:
@@ -81,23 +99,24 @@ def _time_grid(node, path: str) -> np.ndarray:
         if not (_is_number(start) and _is_number(stop) and _is_number(count)
                 and isinstance(count, int)):
             raise ConfigError(f"{path}: needs numeric start, stop and integer count")
-        start, stop = float(start), float(stop)
+        start, stop = _float(start, f"{path}.start"), _float(stop, f"{path}.stop")
         spacing = node.get("spacing", "linear")
         if count < 1:
             raise ConfigError(f"{path}: count must be >= 1, got {count}")
-        if spacing == "linear":
-            return np.linspace(start, stop, count)
-        if spacing == "log":
-            if start <= 0.0:
-                raise ConfigError(f"{path}: log spacing requires start > 0, got {start}")
-            if stop <= 0.0:
-                raise ConfigError(f"{path}: log spacing requires stop > 0, got {stop}")
-            return np.geomspace(start, stop, count)
-        raise ConfigError(f"{path}.spacing: expected 'linear' or 'log', got {spacing!r}")
+        if spacing not in ("linear", "log"):
+            raise ConfigError(f"{path}.spacing: expected 'linear' or 'log', got {spacing!r}")
+        if spacing == "log" and start <= 0.0:
+            raise ConfigError(f"{path}: log spacing requires start > 0, got {start}")
+        if spacing == "log" and stop <= 0.0:
+            raise ConfigError(f"{path}: log spacing requires stop > 0, got {stop}")
+        try:
+            return (np.geomspace if spacing == "log" else np.linspace)(start, stop, count)
+        except (ValueError, OverflowError, MemoryError):
+            raise ConfigError(f"{path}: count {count} is too large") from None
     raise ConfigError(f"{path}: expected a list of times or a start/stop/count object")
 
 
-def _parse_members(doc: dict, n: int) -> list[tuple[np.ndarray, float]]:
+def _parse_members(doc: dict, n: int, fast: bool) -> list[tuple[np.ndarray, float]]:
     """Raw (projector matrix, rate) pairs, before family axioms are enforced."""
     node = doc["projectors"]
     if not isinstance(node, list):
@@ -117,22 +136,23 @@ def _parse_members(doc: dict, n: int) -> list[tuple[np.ndarray, float]]:
         if has_matrix == has_vectors:
             raise ConfigError(f"{path}: give exactly one of 'matrix' or 'vectors'")
         if has_matrix:
-            p = _complex_matrix(item["matrix"], f"{path}.matrix", n, n)
+            p = _complex_matrix(item["matrix"], f"{path}.matrix", n, n, fast)
         else:
             vecs_node = item["vectors"]
             if not isinstance(vecs_node, list) or not vecs_node:
                 raise ConfigError(f"{path}.vectors: expected a non-empty list of vectors")
             # One vector per row.
-            vecs = _complex_matrix(vecs_node, f"{path}.vectors", len(vecs_node), n)
+            vecs = _complex_matrix(vecs_node, f"{path}.vectors", len(vecs_node), n, fast)
             try:
                 p = projector_from_vectors(vecs)
             except InvalidInputError as exc:
                 raise InvalidInputError(f"{path}.vectors: {exc}") from exc
-        members.append((p, float(rate)))
+        members.append((p, _float(rate, f"{path}.rate")))
     return members
 
 
-def _parse_document(text: str) -> dict:
+def _parse_document(text: str) -> tuple[dict, bool]:
+    """The checked top-level object, and whether the text is free of JSON bools."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -149,7 +169,7 @@ def _parse_document(text: str) -> dict:
     if not isinstance(doc["dimension"], int) or isinstance(doc["dimension"], bool) \
             or doc["dimension"] < 1:
         raise ConfigError(f"dimension: expected a positive integer, got {doc['dimension']!r}")
-    return doc
+    return doc, "true" not in text and "false" not in text
 
 
 def _read(path) -> str:
@@ -164,17 +184,17 @@ def _read(path) -> str:
 def load_members(path) -> list[tuple[np.ndarray, float]]:
     """Raw (projector matrix, rate) pairs of a configuration file, before the
     family axioms are enforced, for reporting on them."""
-    doc = _parse_document(_read(path))
-    return _parse_members(doc, doc["dimension"])
+    doc, fast = _parse_document(_read(path))
+    return _parse_members(doc, doc["dimension"], fast)
 
 
 def parse_config(text: str) -> Scenario:
     """Parse a JSON configuration document into a validated Scenario."""
-    doc = _parse_document(text)
+    doc, fast = _parse_document(text)
     n = doc["dimension"]
-    h = _complex_matrix(doc["hamiltonian"], "hamiltonian", n, n)
-    members = _parse_members(doc, n)
-    rho0 = _complex_matrix(doc["initial_state"], "initial_state", n, n)
+    h = _complex_matrix(doc["hamiltonian"], "hamiltonian", n, n, fast)
+    members = _parse_members(doc, n, fast)
+    rho0 = _complex_matrix(doc["initial_state"], "initial_state", n, n, fast)
     grid = _time_grid(doc["time_grid"], "time_grid")
     try:
         hamiltonian = Hamiltonian(h)
@@ -201,8 +221,7 @@ def load_config(path) -> Scenario:
 
 def _matrix_to_json(m) -> list:
     a = np.asarray(m, dtype=complex)
-    return [[[float(a[i, j].real), float(a[i, j].imag)] for j in range(a.shape[1])]
-            for i in range(a.shape[0])]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def dumps_config(scenario: Scenario) -> str:

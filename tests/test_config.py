@@ -147,6 +147,42 @@ class TestTimeGrid:
         with pytest.raises(InvalidInputError, match="ascending"):
             parse(minimal_doc(time_grid=[1.0, 0.5]))
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_unallocatable_count_is_a_config_error(self, spacing):
+        # numpy refuses 10**20 points before it allocates anything.
+        doc = minimal_doc(time_grid={"start": 1.0, "stop": 2.0, "count": 10**20,
+                                     "spacing": spacing})
+        with pytest.raises(ConfigError) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == "time_grid: count 100000000000000000000 is too large"
+
+
+BIG = 10**400  # a JSON integer no float can hold
+_Z = [0.0, 0.0]
+_ONE = [[[1.0, 0.0], _Z], [_Z, _Z]]
+
+
+@pytest.mark.parametrize("overrides, field", [
+    pytest.param({"hamiltonian": [[[BIG, 0.0], _Z], [_Z, _Z]]}, "hamiltonian[0][0]",
+                 id="matrix-entry"),
+    pytest.param({"projectors": [{"matrix": _ONE, "rate": BIG}]}, "projectors[0].rate",
+                 id="rate"),
+    pytest.param({"time_grid": [0.0, BIG]}, "time_grid[1]", id="grid-entry"),
+    pytest.param({"time_grid": {"start": BIG, "stop": 1, "count": 3}}, "time_grid.start",
+                 id="start"),
+    pytest.param({"time_grid": {"start": 0, "stop": BIG, "count": 3}}, "time_grid.stop",
+                 id="stop"),
+])
+def test_integer_beyond_float_range_names_the_field(overrides, field, tmp_path):
+    doc = minimal_doc(**overrides)
+    with pytest.raises(ConfigError) as excinfo:
+        parse(doc)
+    assert str(excinfo.value) == f"{field}: number out of range"
+    if field.startswith("projectors"):  # what `validate` reads
+        with pytest.raises(ConfigError) as excinfo:
+            config.load_members(_write(tmp_path, doc))
+        assert str(excinfo.value) == f"{field}: number out of range"
+
 
 class TestRoundTrip:
     def test_serialize_reparse_identical_propagation(self):
@@ -175,3 +211,156 @@ class TestRoundTrip:
         )
         reparsed = config.parse_config(config.dumps_config(scen))
         assert np.array_equal(scen.hamiltonian.matrix, reparsed.hamiltonian.matrix)
+
+    def test_roundtrip_is_bit_exact(self):
+        tiny = 5e-324  # the smallest subnormal
+        h = np.array([[3.0, complex(tiny, -0.0)], [complex(tiny, 0.0), complex(-0.0, -0.0)]])
+        p = np.array([[1.0, -0.0], [-0.0, 0.0]], dtype=complex)
+        rho = np.array([[0.25, complex(-0.0, tiny)], [complex(-0.0, -tiny), 0.75]])
+        scen = model.Scenario(model.Hamiltonian(h), model.ProjectorFamily(((p, 1e308),)),
+                              model.DensityMatrix(rho), [0.0, tiny, 2.0, 1e308])
+        back = config.parse_config(config.dumps_config(scen))
+        pairs = [(scen.hamiltonian.matrix, back.hamiltonian.matrix),
+                 (scen.family.projectors[0], back.family.projectors[0]),
+                 (np.array(scen.family.rates), np.array(back.family.rates)),
+                 (scen.initial_state.matrix, back.initial_state.matrix),
+                 (scen.time_grid, back.time_grid)]
+        for ours, theirs in pairs:
+            _assert_same_bits(theirs, ours)
+
+
+def _entrywise(node) -> np.ndarray:
+    """The independent oracle: a matrix node read one [re, im] pair at a time."""
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in node],
+                    dtype=complex)
+
+
+def _assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _write(tmp_path, doc_or_text):
+    path = tmp_path / "c.json"
+    path.write_text(doc_or_text if isinstance(doc_or_text, str) else json.dumps(doc_or_text))
+    return path
+
+
+class TestMatrixReading:
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_presets_match_entrywise_oracle(self, name, tmp_path):
+        doc = presets.PRESETS[name]
+        scen = presets.preset_scenario(name)
+        _assert_same_bits(scen.hamiltonian.matrix, _entrywise(doc["hamiltonian"]))
+        _assert_same_bits(scen.initial_state.matrix, _entrywise(doc["initial_state"]))
+        members = config.load_members(_write(tmp_path, presets.preset_text(name)))
+        for item, (p, rate), q in zip(doc["projectors"], members, scen.family.projectors):
+            expected = (_entrywise(item["matrix"]) if "matrix" in item
+                        else model.projector_from_vectors(_entrywise(item["vectors"])))
+            _assert_same_bits(p, expected)
+            _assert_same_bits(q, expected)
+            assert rate == item["rate"]
+
+    def test_random_matrices_match_entrywise_oracle(self, monkeypatch, tmp_path):
+        seen = []  # the vector lists the reader hands on
+        monkeypatch.setattr(config, "projector_from_vectors", lambda v: seen.append(v) or v)
+        rng = np.random.default_rng(20260)
+        pool = [0, 1, -7, 2**62, 0.0, -0.0, 1e308, -1e308, 5e-324, 3.0, -0.5]
+
+        def number():
+            k = rng.integers(len(pool) + 2)
+            if k < len(pool):
+                return pool[k]
+            return float(rng.normal()) if k == len(pool) else int(rng.integers(-10**6, 10**6))
+
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            # Hermitian by construction: the mirror entry is the conjugate,
+            # and a diagonal entry keeps its imaginary part 0, 0.0 or -0.0.
+            h = [[None] * n for _ in range(n)]
+            for i in range(n):
+                h[i][i] = [number(), [0, 0.0, -0.0][int(rng.integers(3))]]
+                for j in range(i + 1, n):
+                    re, im = number(), number()
+                    h[i][j], h[j][i] = [re, im], [re, -im]
+            unit = [[[int(i == j == 0), 0] for j in range(n)] for i in range(n)]
+            rows = int(rng.integers(1, n + 1))
+            loose = [[[number(), number()] for _ in range(n)] for _ in range(n)]
+            vectors = [[[number(), number()] for _ in range(n)] for _ in range(rows)]
+            doc = {"dimension": n, "hamiltonian": h,
+                   "projectors": [{"matrix": unit, "rate": 2}],
+                   "initial_state": unit, "time_grid": [0, 1]}
+            # The Hermiticity gate's norm overflows at 1e308; that is not under test here.
+            with np.errstate(over="ignore", invalid="ignore"):
+                scen = config.parse_config(json.dumps(doc))
+            _assert_same_bits(scen.hamiltonian.matrix, _entrywise(h))
+            _assert_same_bits(scen.initial_state.matrix, _entrywise(unit))
+            _assert_same_bits(scen.family.projectors[0], _entrywise(unit))
+            # load_members does not enforce the family axioms, so any matrix goes.
+            doc["projectors"] = [{"matrix": loose, "rate": 1}, {"matrix": unit, "rate": 1}]
+            members = config.load_members(_write(tmp_path, doc))
+            _assert_same_bits(members[0][0], _entrywise(loose))
+            _assert_same_bits(members[1][0], _entrywise(unit))
+            doc["projectors"] = [{"vectors": vectors, "rate": 1}]
+            config.load_members(_write(tmp_path, doc))
+            _assert_same_bits(seen.pop(), _entrywise(vectors))
+
+    def test_valid_matrices_skip_the_entry_walk(self, monkeypatch, tmp_path):
+        def walk(node, path):
+            raise AssertionError(f"{path} was read entry by entry")
+
+        monkeypatch.setattr(config, "_complex_entry", walk)
+        for name in presets.PRESET_NAMES:
+            presets.preset_scenario(name)
+            config.load_members(_write(tmp_path, presets.preset_text(name)))
+
+    # The walk's messages, which every rejected node must keep word for word.
+    @pytest.mark.parametrize("field, node, message", [
+        pytest.param("hamiltonian", [[[True, 0.0], _Z], [_Z, _Z]],
+                     "hamiltonian[0][0]: expected a [re, im] pair, got [True, 0.0]", id="bool"),
+        pytest.param("projectors", [[[1.0, 0.0], _Z], [_Z, [0.0, False]]],
+                     "projectors[0].matrix[1][1]: expected a [re, im] pair, got [0.0, False]",
+                     id="false-in-projector"),
+        pytest.param("hamiltonian", [[[0.0, None], _Z], [_Z, _Z]],
+                     "hamiltonian[0][0]: expected a [re, im] pair, got [0.0, None]", id="null"),
+        pytest.param("hamiltonian", [[["1.0", 0.0], _Z], [_Z, _Z]],
+                     "hamiltonian[0][0]: expected a [re, im] pair, got ['1.0', 0.0]",
+                     id="string"),
+        pytest.param("hamiltonian", [[[1.0], _Z], [_Z, _Z]],
+                     "hamiltonian[0][0]: expected a [re, im] pair, got [1.0]", id="one-element"),
+        pytest.param("hamiltonian", [[[1.0, 0.0, 0.0], _Z], [_Z, _Z]],
+                     "hamiltonian[0][0]: expected a [re, im] pair, got [1.0, 0.0, 0.0]",
+                     id="three-element"),
+        pytest.param("hamiltonian", [[0.0, _Z], [_Z, _Z]],
+                     "hamiltonian[0][0]: expected a [re, im] pair, got 0.0", id="bare-number"),
+        pytest.param("hamiltonian", [[[_Z], [_Z]], [[_Z], [_Z]]],
+                     "hamiltonian[0][0]: expected a [re, im] pair, got [[0.0, 0.0]]",
+                     id="nested-deeper"),
+        pytest.param("hamiltonian", [[_Z, _Z], [_Z]], "hamiltonian[1]: expected 2 entries",
+                     id="short-row"),
+    ])
+    def test_rejected_node_keeps_the_walk_message(self, field, node, message, tmp_path):
+        if field == "projectors":
+            doc = minimal_doc(projectors=[{"matrix": node, "rate": 1.0}])
+        else:
+            doc = minimal_doc(**{field: node})
+        with pytest.raises(ConfigError) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == message
+        if field == "projectors":
+            with pytest.raises(ConfigError) as excinfo:
+                config.load_members(_write(tmp_path, doc))
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("field, entry, message", [
+        ("hamiltonian", [float("nan"), 0.0], "hamiltonian: Hamiltonian contains NaN or Inf entries"),
+        ("hamiltonian", [0.0, float("inf")], "hamiltonian: Hamiltonian contains NaN or Inf entries"),
+        ("initial_state", [float("-inf"), 0.0],
+         "initial_state: density matrix contains NaN or Inf entries"),
+    ])
+    def test_non_finite_entries_stay_invalid_input(self, field, entry, message):
+        doc = minimal_doc()
+        doc[field][0][0] = entry
+        with pytest.raises(InvalidInputError) as excinfo:
+            parse(doc)  # json.dumps writes NaN and Infinity, which json.loads reads back
+        assert str(excinfo.value) == message
