@@ -108,14 +108,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        members = config.load_members(args.config)
+        # validate_family raises only for a projector holding NaN or Inf.
+        report = validate_family(config.load_members(args.config))
     except OSError as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    report = validate_family(members)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_VALIDATION

@@ -115,6 +115,27 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _taylor_action(a: np.ndarray, norm: float, t: float, x: np.ndarray) -> np.ndarray:
+    """exp(t a) x by the truncated Taylor series, for t ||a||_1 <= 1, with
+    ``norm`` = ||a||_1.
+
+    Matrix-vector products only. The series stops at the first degree k with
+    (t ||a||_1)^(k+1) / (k+1)! <= u/2, u the unit roundoff, which bounds the
+    relative truncation error (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
+    (2011)); at t ||a||_1 = 1 that is degree 18.
+    """
+    nu = t * norm
+    half_u = np.finfo(float).eps / 4.0
+    out = term = x
+    k, bound = 0, nu
+    while bound > half_u:
+        k += 1
+        term = (t / k) * (a @ term)
+        out = out + term
+        bound *= nu / (k + 1)
+    return out
+
+
 def matexp(m, assume: str | None = None) -> np.ndarray:
     """Matrix exponential exp(m).
 

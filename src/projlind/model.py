@@ -251,9 +251,12 @@ def projector_from_vectors(vectors) -> np.ndarray:
     n = vs[0].size
     if any(v.size != n for v in vs):
         raise DimensionError("vectors have mixed lengths")
-    gram = np.array([[vj.conj() @ vk for vk in vs] for vj in vs])
-    residual = np.linalg.norm(gram - np.eye(len(vs)))
-    if residual > VALIDATION_TOL:
+    # Entries near the float limit overflow to a NaN residual, which the
+    # gate below rejects; numpy need not warn about it as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.array([[vj.conj() @ vk for vk in vs] for vj in vs])
+        residual = np.linalg.norm(gram - np.eye(len(vs)))
+    if not residual <= VALIDATION_TOL:
         raise InvalidInputError(f"vectors are not orthonormal (Gram residual {residual:.3e})")
     p = np.zeros((n, n), dtype=complex)
     for v in vs:

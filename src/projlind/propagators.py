@@ -42,24 +42,40 @@ L(1) = 0 and L preserves the trace, the row and column of 1/sqrt(n) are
 zero, and the rest is a real (n^2 - 1)-square matrix M: skew-symmetric from
 the commutator minus the non-negative diagonal G_jk of the off-diagonal
 elements, so exp(hM) is a contraction. M is built once per scenario, in
-O(n^5), and the coordinates x of X0 are walked along the grid,
-x <- exp(hM) x with h the step between grid points; an equal step reuses
-the previous exponential. Each state 1/n + sum_k x_k F_k is Hermitian by
-construction and has trace 1 to rounding, however stiff t L is. The
-unstructured route exp(t (A + B)) is an oracle in the test suite.
+O(n^5), and the coordinates x of X0 are walked along the grid by one
+ladder of squarings. Its base beta is the first positive step scaled by a
+power of two to 1/2 <= ||beta M||_1 < 1; E_0 = exp(beta M) is the
+scenario's one Pade exponential, and E_{j+1} = E_j E_j is squared only as
+far as the largest step needs. (A base far below 1/||M||_1 would carry the
+rounding of E_0 through more squarings than the steps need.) A step
+h = m beta + delta, 0 <= delta < beta, applies E_j for each set bit of m and
+then exp(delta M) x by a truncated Taylor series, matrix-vector products
+only; a remainder equal to the previous step's takes exp(delta M) once and
+reuses it. A grid that is uniform up to the rounding of its points, with a
+step of at least 1/(2 ||M||_1), takes no remainder, so it costs one
+exponential and the squarings up to its step; a finer uniform grid takes
+one Taylor action and one exponential of its step. Each state
+1/n + sum_k x_k F_k is Hermitian by construction and has trace 1 to
+rounding, however stiff t L is. The unstructured route exp(t (A + B)) is an
+oracle in the test suite.
 
-Every exponential goes through :func:`projlind.linalg.matexp`, and only the
-public functions rotate a frame state back to the lab frame.
+The exact path takes one Pade exponential per scenario for its ladder,
+through :func:`projlind.linalg.matexp`, whatever its grid, and one more
+only when a remainder repeats; the closed form takes one eigendecomposition
+of H' per time point. Both yield one state at a time, so a sweep holds
+O(n^4) numbers whatever the length of its grid. Only the public functions
+rotate a frame state back to the lab frame.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .linalg import matexp
+from .linalg import _taylor_action, matexp
 from .model import Scenario
 
 
@@ -188,21 +204,45 @@ def _traceless(c: np.ndarray, q: np.ndarray, pairs) -> np.ndarray:
 def _exact_states(frame: _Frame, times):
     """Yield the exact state in the frame at each of the ascending
     non-negative ``times``, walking the real generator M of the module
-    docstring along them."""
+    docstring along them by its ladder of squarings."""
     n = frame.v.shape[0]
     h = frame.h
     q, pairs = _traceless_basis(n)
     basis = _traceless(np.eye(n * n - 1), q, pairs)
     gen = _coordinates(-1j * (h @ basis - basis @ h) - frame.g * basis, q, pairs).T
+    norm = np.linalg.norm(gen, 1)
     x = _coordinates(frame.x0, q, pairs)
     eps = np.finfo(float).eps
-    prev, step, prop = 0.0, None, None
+    prev, beta, ladder = 0.0, None, []
+    rem, rem_prop = None, None
     for t in times:
         dt = t - prev
         if dt > 0.0:
-            # Grid spacing is uniform up to the rounding of the grid points.
-            if step is None or abs(dt - step) > 8.0 * eps * t:
-                step, prop = dt, matexp(dt * gen)
-            x = prop @ x
+            if beta is None:
+                # dt ||M||_1 = f 2^e with 1/2 <= f < 1, so ||beta M||_1 = f.
+                beta = math.ldexp(dt, -math.frexp(dt * norm)[1])
+            m, delta = divmod(dt, beta)
+            # Grid spacing is uniform up to the rounding of the grid points:
+            # a remainder that close to beta or to 0 is rounding, not time.
+            if beta - delta <= 8.0 * eps * t:
+                m, delta = m + 1.0, 0.0
+            elif delta <= 8.0 * eps * t:
+                delta = 0.0
+            m = int(m)
+            for j in range(m.bit_length()):
+                if j == len(ladder):
+                    ladder.append(ladder[-1] @ ladder[-1] if ladder else matexp(beta * gen))
+                if m >> j & 1:
+                    x = ladder[j] @ x
+            if delta > 0.0:
+                # A remainder that repeats the previous one, as every step
+                # of a fine uniform grid does, takes one exponential.
+                if rem is not None and abs(delta - rem) <= 8.0 * eps * t:
+                    if rem_prop is None:
+                        rem_prop = matexp(rem * gen)
+                    x = rem_prop @ x
+                else:
+                    rem, rem_prop = delta, None
+                    x = _taylor_action(gen, norm, delta, x)
         prev = t
         yield _traceless(x, q, pairs) + np.eye(n) / n

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from projlind import analysis, model, propagators
+from projlind import analysis, cli, config, model, propagators
 from projlind.exceptions import DimensionError, InvalidInputError
 
 from oracles import (
@@ -179,6 +179,54 @@ class TestSweep:
         scen = make_scenario(SX, [(P0, 1.0)], np.diag([1.0, 0.0]), [0.1])
         with pytest.raises(InvalidInputError):
             analysis.sweep(scen, "approx")
+
+    def test_every_point_passes_the_hermiticity_gate(self, monkeypatch, tmp_path, capsys):
+        # A non-Hermitian exact state at the last point must be refused by
+        # the sweep's trace distance and by `run`.
+        exact_states = propagators._exact_states
+
+        def skewed(frame, times):
+            states = list(exact_states(frame, times))
+            states[-1] = states[-1].copy()
+            states[-1][0, -1] += 1e-6
+            yield from states
+
+        monkeypatch.setattr(analysis, "_exact_states", skewed)
+        scen = make_scenario(SX, [(P0, 1.0)], np.diag([1.0, 0.0]), [0.1, 0.2, 0.4])
+        with pytest.raises(InvalidInputError, match="rho is not Hermitian within 1e-10"):
+            analysis.sweep(scen, "compare")
+        cfg = tmp_path / "driven.json"
+        cfg.write_text(config.dumps_config(scen))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: propagation failed: rho is not Hermitian within 1e-10\n"
+
+    def test_sweep_holds_one_state_per_path(self, monkeypatch):
+        # Each path's states are drawn one point at a time, so the memory
+        # of a sweep does not grow with the length of its grid.
+        drawn = {"exact": 0, "approx": 0}
+
+        def counted(name, states):
+            def wrapper(frame, times):
+                for state in states(frame, times):
+                    drawn[name] += 1
+                    yield state
+            return wrapper
+
+        seen = []
+        distance = analysis.trace_distance
+
+        def recording(rho, sigma):
+            seen.append(dict(drawn))
+            return distance(rho, sigma)
+
+        monkeypatch.setattr(analysis, "_exact_states", counted("exact", propagators._exact_states))
+        monkeypatch.setattr(analysis, "_approx_states",
+                            counted("approx", propagators._approx_states))
+        monkeypatch.setattr(analysis, "trace_distance", recording)
+        scen = make_scenario(SX, [(P0, 1.0)], np.diag([1.0, 0.0]), np.linspace(0.0, 2.0, 9))
+        assert len(analysis.sweep(scen, "compare")) == 9
+        assert seen == [{"exact": i, "approx": i} for i in range(1, 10)]
 
     @pytest.mark.parametrize("mode, per_point", [
         ("compare", 1), ("approx-only", 1), ("exact-only", 0)])

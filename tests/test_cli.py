@@ -196,6 +196,23 @@ class TestValidate:
         assert "result: FAIL" in stdout
         assert "(0, 1)" in stdout
 
+    @pytest.mark.parametrize("projector, message", [
+        ({"matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+         "error: projector 0 contains NaN or Inf entries"),
+        # The Gram matrix overflows to a NaN residual, which must not pass.
+        ({"vectors": [[[1e308, 1e308], [0.0, 0.0]]]},
+         "error: projectors[0].vectors: vectors are not orthonormal (Gram residual nan)"),
+    ], ids=["nan-matrix", "overflowing-vectors"])
+    def test_non_finite_projector_is_an_error_line(self, tmp_path, capsys, projector, message):
+        doc = json.loads(presets.preset_text("driven-qubit"))
+        doc["projectors"][0] = dict(projector, rate=1.0)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == message
+
 
 class TestPresets:
     def test_list(self, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -124,24 +126,113 @@ class TestExactPropagate:
             assert np.linalg.norm(out - ref.reshape(n, n)) <= 1e-12
 
 
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's
+    arguments; returns the list of calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def long_time_scenario(rng, scale):
+    """n in [2, 5], 1 to n projectors, ||H||_2 = scale and rates in
+    scale * [0.2, 1.5]."""
+    n = int(rng.integers(2, 6))
+    ps = rand_orthogonal_projectors(n, rand_ranks(n, int(rng.integers(1, n + 1)), rng), rng)
+    h = rand_hermitian(n, rng)
+    return make_scenario(scale * h / np.linalg.norm(h, 2),
+                         [(p, scale * float(rng.uniform(0.2, 1.5))) for p in ps],
+                         rand_density(n, rng))
+
+
 class TestExactWalk:
     @pytest.mark.parametrize("stop, count", [(2.0, 12), (500.0, 400)])
     def test_uniform_grid_takes_one_exponential(self, monkeypatch, stop, count):
-        calls = []
-        original = linalg._pade_expm
-
-        def counted(a):
-            calls.append(a.shape)
-            return original(a)
-
-        monkeypatch.setattr(linalg, "_pade_expm", counted)
+        # The step is 2^K beta up to the rounding of the grid points, so no
+        # step leaves a Taylor remainder: a step just short of 2^K beta is
+        # not (2^K - 1) beta plus a remainder of almost beta.
+        pade = counting(monkeypatch, linalg, "_pade_expm")
+        taylor = counting(monkeypatch, propagators, "_taylor_action")
         rng = np.random.default_rng(3)
         scen = rand_scenario(rng)
         scen = model.Scenario(scen.hamiltonian, scen.family, scen.initial_state,
                               np.linspace(0.0, stop, count))
         records = analysis.sweep(scen, "exact-only")
         assert len(records) == count
-        assert calls == [(scen.dim ** 2 - 1,) * 2]
+        assert [a.shape for a, in pade] == [(scen.dim ** 2 - 1,) * 2]
+        assert taylor == []
+
+    @pytest.mark.parametrize("start, pades", [(0.0, 1), (0.5, 2)])
+    def test_repeated_remainder_takes_one_exponential(self, monkeypatch, start, pades):
+        # Steps of dt ||M||_1 < 1/2 all leave the same remainder below beta:
+        # the first takes a Taylor action, the rest one exponential of the
+        # step. From an offset start the first step also builds the ladder.
+        pade = counting(monkeypatch, linalg, "_pade_expm")
+        taylor = counting(monkeypatch, propagators, "_taylor_action")
+        rng = np.random.default_rng(3)
+        scen = rand_scenario(rng)
+        grid = np.linspace(start, 2.0, 400)
+        frame = propagators._frame(scen)
+        walked = list(propagators._exact_states(frame, grid))
+        assert len(pade) == pades
+        assert len(taylor) == 1
+        for t, state in zip(grid[::37], walked[::37]):
+            single = propagators.exact_propagate(scen, t)
+            assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - single) <= 1e-12
+
+    def test_states_stream_one_time_at_a_time(self):
+        # Each path yields one state per time and holds no array over the
+        # grid, so it reads no time beyond the state it is asked for.
+        def times():
+            yield from (0.0, 0.25, 0.5)
+            raise AssertionError("read a time beyond the last state asked for")
+
+        rng = np.random.default_rng(23)
+        scen = rand_scenario(rng)
+        frame = propagators._frame(scen)
+        for states in (propagators._exact_states, propagators._approx_states):
+            first = list(itertools.islice(states(frame, times()), 3))
+            for t, state in zip((0.0, 0.25, 0.5), first):
+                assert state.shape == (scen.dim, scen.dim)
+                assert np.linalg.norm(state - next(states(frame, [t]))) <= 1e-12
+
+    def test_log_grid_takes_one_exponential(self, monkeypatch):
+        # Every step of a log grid differs; the ladder serves them all.
+        pade = counting(monkeypatch, linalg, "_pade_expm")
+        rng = np.random.default_rng(19)
+        scen = rand_scenario(rng)
+        scen = model.Scenario(scen.hamiltonian, scen.family, scen.initial_state,
+                              np.geomspace(1e-2, 500.0, 16))
+        assert len(analysis.sweep(scen, "compare")) == 16
+        assert len(pade) == 1
+
+    @pytest.mark.parametrize("grid, scale", [
+        (np.geomspace(1e-2, 500.0, 16), 1.0),
+        # A large first step, then steps that leave remainders.
+        ((1e3, 2e3 + 0.5, 2.5e3), 0.2),
+    ])
+    def test_walk_matches_dense_generator_oracle(self, monkeypatch, grid, scale):
+        # Both routes round like u t ||A + B||, so the norms are scaled to
+        # keep t ||A + B||_1 near 1e3 at the last point.
+        taylor = counting(monkeypatch, propagators, "_taylor_action")
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            scen = long_time_scenario(rng, scale)
+            members = list(zip(scen.family.projectors, scen.family.rates))
+            gen = vectorized_generator(scen.hamiltonian.matrix, members)
+            rho0 = scen.initial_state.matrix
+            frame = propagators._frame(scen)
+            walked = propagators._exact_states(frame, grid)
+            for t, state in zip(grid, walked):
+                ref = (taylor_expm(t * gen) @ rho0.reshape(-1)).reshape(rho0.shape)
+                assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - ref) <= 1e-12
+        assert taylor
 
     def test_walk_matches_single_points(self):
         rng = np.random.default_rng(17)
