@@ -10,7 +10,7 @@ import numpy as np
 from .exceptions import DimensionError, InvalidInputError
 from .linalg import HERMITICITY_TOL, hermiticity_residual
 from .model import Scenario
-from .propagators import _approx_states, _bch_constant, _exact_states, _frame
+from .propagators import _approx_states, _bch_constant, _chunks, _exact_states, _frame
 
 #: Gaps below this are treated as rounding noise by the convergence fit.
 GAP_NOISE_FLOOR = 1e-14
@@ -67,24 +67,27 @@ class PauliDecomposition:
 
 def _hermitian_part(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def trace_distance(rho, sigma) -> float:
+def trace_distance(rho, sigma) -> float | np.ndarray:
     """Half the absolute-eigenvalue sum of rho - sigma.
 
     Both inputs must be Hermitian within the package gate; the difference is
-    Hermitian, so the eigenvalue route is exact.
+    Hermitian, so the eigenvalue route is exact. Two n x n states give a
+    float; two stacks of states of one shape (..., n, n) give the array of
+    their distances, and every state of each stack must pass the gate.
     """
     a = np.asarray(rho, dtype=complex)
     b = np.asarray(sigma, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"states must share a square shape, got {a.shape} and {b.shape}")
     for name, m in (("rho", a), ("sigma", b)):
-        if hermiticity_residual(m) > HERMITICITY_TOL:
+        if np.any(hermiticity_residual(m) > HERMITICITY_TOL):
             raise InvalidInputError(f"{name} is not Hermitian within {HERMITICITY_TOL:g}")
     eigs = np.linalg.eigvalsh(_hermitian_part(a) - _hermitian_part(b))
-    return 0.5 * float(np.abs(eigs).sum())
+    distance = 0.5 * np.abs(eigs).sum(-1)
+    return float(distance) if a.ndim == 2 else distance
 
 
 def state_diagnostics(rho) -> StateDiagnostics:
@@ -138,29 +141,36 @@ def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
     ``approx-only`` run one of them. Fields that need a path the mode does
     not run are NaN; the indicator is computed in every mode. The scenario's
     projector frame is built once, and the states never leave it: every
-    metric is unitarily invariant.
+    metric is unitarily invariant. Each path yields one stack of states per
+    chunk of the grid, and every metric is taken once per chunk, so the
+    memory of a sweep does not grow with its grid.
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
     grid = scenario.time_grid
     frame = _frame(scenario)
-    exact_states = repeat(None) if mode == "approx-only" else _exact_states(frame, grid)
-    approx_states = repeat(None) if mode == "exact-only" else _approx_states(frame, grid)
+    exact_chunks = repeat(None) if mode == "approx-only" else _exact_states(frame, grid)
+    approx_chunks = repeat(None) if mode == "exact-only" else _approx_states(frame, grid)
     kappa = _bch_constant(frame)
     records = []
-    for t, exact, approx in zip(grid, exact_states, approx_states):
-        t = float(t)
-        both = exact is not None and approx is not None
-        records.append(ErrorRecord(
-            time=t,
-            trace_distance=trace_distance(exact, approx) if both else _NAN,
-            frobenius_gap=float(np.linalg.norm(exact - approx)) if both else _NAN,
-            exact_trace=_NAN_C if exact is None else complex(np.trace(exact)),
-            approx_trace=_NAN_C if approx is None else complex(np.trace(approx)),
-            approx_min_eigenvalue=_NAN if approx is None
-            else float(np.linalg.eigvalsh(_hermitian_part(approx))[0]),
-            bch_indicator=0.5 * t * t * kappa,
-        ))
+    for times, exact, approx in zip(_chunks(grid), exact_chunks, approx_chunks):
+        distance = gap = min_eig = np.full(len(times), _NAN)
+        exact_trace = approx_trace = np.full(len(times), _NAN_C)
+        if exact is not None:
+            exact_trace = np.trace(exact, axis1=-2, axis2=-1)
+        if approx is not None:
+            approx_trace = np.trace(approx, axis1=-2, axis2=-1)
+            min_eig = np.linalg.eigvalsh(_hermitian_part(approx))[:, 0]
+        if exact is not None and approx is not None:
+            distance = trace_distance(exact, approx)
+            gap = np.linalg.norm(exact - approx, axis=(-2, -1))
+        columns = zip(times, distance.tolist(), gap.tolist(), exact_trace.tolist(),
+                      approx_trace.tolist(), min_eig.tolist())
+        for t, d, f, et, at, e in columns:
+            t = float(t)
+            records.append(ErrorRecord(
+                time=t, trace_distance=d, frobenius_gap=f, exact_trace=et, approx_trace=at,
+                approx_min_eigenvalue=e, bch_indicator=0.5 * t * t * kappa))
     return records
 
 

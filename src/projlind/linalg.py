@@ -50,10 +50,16 @@ def _as_square(m, real_ok: bool = False) -> np.ndarray:
     return a
 
 
-def hermiticity_residual(m) -> float:
-    """Relative Hermiticity defect ||m - m^dag||_F / max(1, ||m||_F)."""
+def hermiticity_residual(m) -> float | np.ndarray:
+    """Relative Hermiticity defect ||m - m^dag||_F / max(1, ||m||_F).
+
+    A float for an n x n matrix; for a stack (..., n, n), the array of the
+    defects of its matrices.
+    """
     a = np.asarray(m, dtype=complex)
-    return float(np.linalg.norm(a - a.conj().T) / max(1.0, np.linalg.norm(a)))
+    residual = (np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+                / np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))))
+    return float(residual) if a.ndim == 2 else residual
 
 
 def vectorize(x) -> np.ndarray:

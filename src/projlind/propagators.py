@@ -62,14 +62,18 @@ oracle in the test suite.
 The exact path takes one Pade exponential per scenario for its ladder,
 through :func:`projlind.linalg.matexp`, whatever its grid, and one more
 only when a remainder repeats; the closed form takes one eigendecomposition
-of H' per time point. Both yield one state at a time, so a sweep holds
-O(n^4) numbers whatever the length of its grid. Only the public functions
-rotate a frame state back to the lab frame.
+of H' per time point. Both work on chunks of at most _CHUNK consecutive
+times and yield one (b, n, n) stack of states per chunk: the exact walk
+rebuilds a chunk's states from its coordinate vectors in one call, and the
+closed form applies its unitary factors as stacked products. A sweep so
+holds O(n^4 + _CHUNK n^2) numbers whatever the length of its grid. Only
+the public functions rotate a frame state back to the lab frame.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +81,9 @@ import numpy as np
 from .exceptions import InvalidInputError
 from .linalg import _taylor_action, matexp
 from .model import Scenario
+
+#: Most time points in one stack of states; bounds the memory of a sweep.
+_CHUNK = 64
 
 
 class _Frame(NamedTuple):
@@ -138,7 +145,7 @@ def _propagate(scenario: Scenario, t, states) -> np.ndarray:
     """The state that ``states`` yields at ``t``, rotated back to the lab frame."""
     t = _check_time(t)
     frame = _frame(scenario)
-    return frame.v @ next(states(frame, [t])) @ frame.v.conj().T
+    return frame.v @ next(states(frame, [t]))[0] @ frame.v.conj().T
 
 
 def bch_error_indicator(scenario: Scenario, t) -> float:
@@ -163,13 +170,22 @@ def _bch_constant(frame: _Frame) -> float:
     return float(np.sqrt(2.0 * np.sum(np.abs(frame.h) ** 2 * d)))
 
 
+def _chunks(times):
+    """Consecutive lists of at most _CHUNK of the ``times``; reads no time
+    beyond the chunk it returns."""
+    times = iter(times)
+    while chunk := list(islice(times, _CHUNK)):
+        yield chunk
+
+
 def _approx_states(frame: _Frame, times):
-    """Yield the factorized state U' (exp(-tG) o X0) U'^dag in the frame at
-    each of the ``times``."""
-    for t in times:
-        # Eigendecomposition path keeps the factor unitary to rounding.
-        u = matexp(-1j * t * frame.h, assume="anti_hermitian")
-        yield u @ (np.exp(-t * frame.g) * frame.x0) @ u.conj().T
+    """Yield the factorized states U' (exp(-tG) o X0) U'^dag in the frame
+    at the ``times``, one (b, n, n) stack per chunk."""
+    for chunk in _chunks(times):
+        # Eigendecomposition path keeps each factor unitary to rounding.
+        u = np.stack([matexp(-1j * t * frame.h, assume="anti_hermitian") for t in chunk])
+        decayed = np.exp(-np.array(chunk)[:, None, None] * frame.g) * frame.x0
+        yield u @ decayed @ u.conj().swapaxes(-1, -2)
 
 
 def _traceless_basis(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -202,9 +218,9 @@ def _traceless(c: np.ndarray, q: np.ndarray, pairs) -> np.ndarray:
 
 
 def _exact_states(frame: _Frame, times):
-    """Yield the exact state in the frame at each of the ascending
-    non-negative ``times``, walking the real generator M of the module
-    docstring along them by its ladder of squarings."""
+    """Yield the exact states in the frame at the ascending non-negative
+    ``times``, one (b, n, n) stack per chunk, walking the real generator M
+    of the module docstring along them by its ladder of squarings."""
     n = frame.v.shape[0]
     h = frame.h
     q, pairs = _traceless_basis(n)
@@ -215,34 +231,39 @@ def _exact_states(frame: _Frame, times):
     eps = np.finfo(float).eps
     prev, beta, ladder = 0.0, None, []
     rem, rem_prop = None, None
-    for t in times:
-        dt = t - prev
-        if dt > 0.0:
-            if beta is None:
-                # dt ||M||_1 = f 2^e with 1/2 <= f < 1, so ||beta M||_1 = f.
-                beta = math.ldexp(dt, -math.frexp(dt * norm)[1])
-            m, delta = divmod(dt, beta)
-            # Grid spacing is uniform up to the rounding of the grid points:
-            # a remainder that close to beta or to 0 is rounding, not time.
-            if beta - delta <= 8.0 * eps * t:
-                m, delta = m + 1.0, 0.0
-            elif delta <= 8.0 * eps * t:
-                delta = 0.0
-            m = int(m)
-            for j in range(m.bit_length()):
-                if j == len(ladder):
-                    ladder.append(ladder[-1] @ ladder[-1] if ladder else matexp(beta * gen))
-                if m >> j & 1:
-                    x = ladder[j] @ x
-            if delta > 0.0:
-                # A remainder that repeats the previous one, as every step
-                # of a fine uniform grid does, takes one exponential.
-                if rem is not None and abs(delta - rem) <= 8.0 * eps * t:
-                    if rem_prop is None:
-                        rem_prop = matexp(rem * gen)
-                    x = rem_prop @ x
-                else:
-                    rem, rem_prop = delta, None
-                    x = _taylor_action(gen, norm, delta, x)
-        prev = t
-        yield _traceless(x, q, pairs) + np.eye(n) / n
+    for chunk in _chunks(times):
+        coords = []
+        for t in chunk:
+            dt = t - prev
+            if dt > 0.0:
+                if beta is None:
+                    # dt ||M||_1 = f 2^e with 1/2 <= f < 1, so ||beta M||_1 = f.
+                    beta = math.ldexp(dt, -math.frexp(dt * norm)[1])
+                m, delta = divmod(dt, beta)
+                # Grid spacing is uniform up to the rounding of the grid
+                # points: a remainder that close to beta or to 0 is
+                # rounding, not time.
+                if beta - delta <= 8.0 * eps * t:
+                    m, delta = m + 1.0, 0.0
+                elif delta <= 8.0 * eps * t:
+                    delta = 0.0
+                m = int(m)
+                for j in range(m.bit_length()):
+                    if j == len(ladder):
+                        ladder.append(ladder[-1] @ ladder[-1] if ladder
+                                      else matexp(beta * gen))
+                    if m >> j & 1:
+                        x = ladder[j] @ x
+                if delta > 0.0:
+                    # A remainder that repeats the previous one, as every
+                    # step of a fine uniform grid does, takes one exponential.
+                    if rem is not None and abs(delta - rem) <= 8.0 * eps * t:
+                        if rem_prop is None:
+                            rem_prop = matexp(rem * gen)
+                        x = rem_prop @ x
+                    else:
+                        rem, rem_prop = delta, None
+                        x = _taylor_action(gen, norm, delta, x)
+            prev = t
+            coords.append(x)
+        yield _traceless(np.array(coords), q, pairs) + np.eye(n) / n

@@ -15,6 +15,7 @@ from oracles import (
 )
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
+CHUNK = propagators._CHUNK
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[np.ix_([0, 3], [0, 3])] = 0.5  # |Phi+><Phi+|
 
@@ -63,6 +64,38 @@ class TestTraceDistance:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInputError):
             analysis.trace_distance(np.array([[0.5, 1.0], [0.0, 0.5]]), 0.5 * np.eye(2))
+
+    def test_stack_matches_pairs(self):
+        rng = np.random.default_rng(31)
+        rho = np.array([rand_density(4, rng) for _ in range(20)])
+        sigma = np.array([rand_density(4, rng) for _ in range(20)])
+        stacked = analysis.trace_distance(rho, sigma)
+        assert stacked.shape == (20,)
+        assert_allclose(stacked, [analysis.trace_distance(a, b) for a, b in zip(rho, sigma)],
+                        rtol=0, atol=1e-15)
+        pairs = analysis.trace_distance(rho.reshape(4, 5, 4, 4), sigma.reshape(4, 5, 4, 4))
+        assert_allclose(pairs.reshape(-1), stacked, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["rho", "sigma"])
+    def test_stack_gates_every_member(self, name):
+        rng = np.random.default_rng(37)
+        states = {n: np.array([rand_density(3, rng) for _ in range(5)])
+                  for n in ("rho", "sigma")}
+        states[name][3, 0, 2] += 1e-6
+        with pytest.raises(InvalidInputError,
+                           match=f"^{name} is not Hermitian within 1e-10$"):
+            analysis.trace_distance(states["rho"], states["sigma"])
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 2, 2), (4, 2, 2)), ((3, 2, 2), (2, 2)), ((3, 2, 3), (3, 2, 3)), ((2,), (2,))])
+    def test_stack_rejects_mismatched_shapes(self, shapes):
+        with pytest.raises(DimensionError):
+            analysis.trace_distance(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+    def test_square_input_gives_a_float(self):
+        rng = np.random.default_rng(41)
+        assert type(analysis.trace_distance(rand_density(3, rng), rand_density(3, rng))) \
+            is float
 
 
 class TestStateDiagnostics:
@@ -186,10 +219,10 @@ class TestSweep:
         exact_states = propagators._exact_states
 
         def skewed(frame, times):
-            states = list(exact_states(frame, times))
-            states[-1] = states[-1].copy()
-            states[-1][0, -1] += 1e-6
-            yield from states
+            chunks = list(exact_states(frame, times))
+            chunks[-1] = chunks[-1].copy()
+            chunks[-1][-1, 0, -1] += 1e-6
+            yield from chunks
 
         monkeypatch.setattr(analysis, "_exact_states", skewed)
         scen = make_scenario(SX, [(P0, 1.0)], np.diag([1.0, 0.0]), [0.1, 0.2, 0.4])
@@ -201,16 +234,16 @@ class TestSweep:
         assert capsys.readouterr().err == \
             "error: propagation failed: rho is not Hermitian within 1e-10\n"
 
-    def test_sweep_holds_one_state_per_path(self, monkeypatch):
-        # Each path's states are drawn one point at a time, so the memory
-        # of a sweep does not grow with the length of its grid.
+    def test_sweep_holds_one_chunk_per_path(self, monkeypatch):
+        # Each path's states are drawn one chunk of at most _CHUNK points at
+        # a time, so the memory of a sweep does not grow with its grid.
         drawn = {"exact": 0, "approx": 0}
 
         def counted(name, states):
             def wrapper(frame, times):
-                for state in states(frame, times):
-                    drawn[name] += 1
-                    yield state
+                for chunk in states(frame, times):
+                    drawn[name] += len(chunk)
+                    yield chunk
             return wrapper
 
         seen = []
@@ -224,9 +257,41 @@ class TestSweep:
         monkeypatch.setattr(analysis, "_approx_states",
                             counted("approx", propagators._approx_states))
         monkeypatch.setattr(analysis, "trace_distance", recording)
-        scen = make_scenario(SX, [(P0, 1.0)], np.diag([1.0, 0.0]), np.linspace(0.0, 2.0, 9))
-        assert len(analysis.sweep(scen, "compare")) == 9
-        assert seen == [{"exact": i, "approx": i} for i in range(1, 10)]
+        count = 2 * CHUNK + 5
+        scen = make_scenario(SX, [(P0, 1.0)], np.diag([1.0, 0.0]), np.linspace(0.0, 2.0, count))
+        assert len(analysis.sweep(scen, "compare")) == count
+        drawn_at = [min((k + 1) * CHUNK, count) for k in range(3)]
+        assert seen == [{"exact": i, "approx": i} for i in drawn_at]
+
+    @pytest.mark.parametrize("count", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+    def test_chunk_boundaries_match_single_points(self, count):
+        # Every record equals the public metrics of the single-point
+        # propagators at its time, whichever chunk the point falls in.
+        rng = np.random.default_rng(29)
+        ps = rand_orthogonal_projectors(3, [1, 1], rng)
+        scen = make_scenario(rand_hermitian(3, rng), list(zip(ps, (0.7, 1.9))),
+                             rand_density(3, rng), np.geomspace(0.05, 6.0, count))
+        exact = [propagators.exact_propagate(scen, t) for t in scen.time_grid]
+        approx = [propagators.approx_propagate_closed(scen, t) for t in scen.time_grid]
+        sweeps = {mode: analysis.sweep(scen, mode) for mode in analysis.MODES}
+        for k, t in enumerate(scen.time_grid):
+            e, a = exact[k], approx[k]
+            rec, only_e, only_a = (sweeps[m][k] for m in analysis.MODES)
+            assert rec.time == only_e.time == only_a.time == t
+            assert abs(rec.trace_distance - analysis.trace_distance(e, a)) <= 1e-12
+            assert abs(rec.frobenius_gap - np.linalg.norm(e - a)) <= 1e-12
+            for r in (rec, only_e):
+                assert abs(r.exact_trace - np.trace(e)) <= 1e-12
+            for r in (rec, only_a):
+                assert abs(r.approx_trace - np.trace(a)) <= 1e-12
+                assert abs(r.approx_min_eigenvalue
+                           - analysis.state_diagnostics(a).min_eigenvalue) <= 1e-12
+            for r in (rec, only_e, only_a):
+                assert r.bch_indicator == propagators.bch_error_indicator(scen, t)
+            assert np.isnan([only_e.trace_distance, only_e.frobenius_gap,
+                             only_e.approx_min_eigenvalue]).all()
+            assert np.isnan([only_a.trace_distance, only_a.frobenius_gap]).all()
+            assert np.isnan(only_e.approx_trace) and np.isnan(only_a.exact_trace)
 
     @pytest.mark.parametrize("mode, per_point", [
         ("compare", 1), ("approx-only", 1), ("exact-only", 0)])

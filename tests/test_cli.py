@@ -167,6 +167,29 @@ class TestRun:
             assert len(read_csv(out)) - 1 == scen.time_grid.size
 
 
+def test_repeated_calls_in_one_process(tmp_path, capsys, monkeypatch):
+    # The parser is built on the first call and shared by the later ones,
+    # an argument error included.
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert cli.main(["presets"]) == 0
+    assert capsys.readouterr().out.split() == list(presets.PRESET_NAMES)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--mode", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    cfg = write_preset(tmp_path, "driven-qubit")
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote: {out}"
+    assert len(read_csv(out)) - 1 == presets.preset_scenario("driven-qubit").time_grid.size
+    assert cli.main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
+    assert built == [1]
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
     cfg = tmp_path / "latin1.json"

@@ -120,3 +120,22 @@ def test_matexp_rejects_bad_inputs():
         linalg.matexp(bad)
     with pytest.raises(InvalidInputError):
         linalg.matexp(np.array([[0.0, 1.0], [0.0, 0.0]]), assume="anti_hermitian")
+
+
+def test_hermiticity_residual_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(43)
+    stack = np.array([rand_hermitian(4, rng) + 1e-3 * k * rng.normal(size=(4, 4))
+                      for k in range(20)])
+    residuals = linalg.hermiticity_residual(stack)
+    assert residuals.shape == (20,)
+    assert residuals[0] <= 1e-15 < residuals[1]
+    assert_allclose(residuals, [linalg.hermiticity_residual(m) for m in stack],
+                    rtol=1e-14, atol=0)
+    assert_allclose(linalg.hermiticity_residual(stack.reshape(4, 5, 4, 4)).reshape(-1),
+                    residuals, rtol=0, atol=0)
+
+
+def test_hermiticity_residual_of_a_matrix_is_a_float():
+    assert type(linalg.hermiticity_residual(np.eye(3))) is float
+    # Relative to max(1, ||m||_F): ||m - m^dag||_F = sqrt(2) for this m.
+    assert linalg.hermiticity_residual([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(np.sqrt(2))

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -179,28 +177,36 @@ class TestExactWalk:
         scen = rand_scenario(rng)
         grid = np.linspace(start, 2.0, 400)
         frame = propagators._frame(scen)
-        walked = list(propagators._exact_states(frame, grid))
+        walked = np.concatenate(list(propagators._exact_states(frame, grid)))
         assert len(pade) == pades
         assert len(taylor) == 1
         for t, state in zip(grid[::37], walked[::37]):
             single = propagators.exact_propagate(scen, t)
             assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - single) <= 1e-12
 
-    def test_states_stream_one_time_at_a_time(self):
-        # Each path yields one state per time and holds no array over the
-        # grid, so it reads no time beyond the state it is asked for.
+    def test_states_stream_one_chunk_at_a_time(self):
+        # Each path yields one stack per chunk of _CHUNK times and holds no
+        # array over the grid, so it reads no time beyond the chunk it is
+        # asked for.
+        grid = 0.03 * np.arange(propagators._CHUNK + 3)
+        read = []
+
         def times():
-            yield from (0.0, 0.25, 0.5)
-            raise AssertionError("read a time beyond the last state asked for")
+            for t in grid:
+                read.append(t)
+                yield t
+            raise AssertionError("read a time beyond the last chunk asked for")
 
         rng = np.random.default_rng(23)
         scen = rand_scenario(rng)
         frame = propagators._frame(scen)
         for states in (propagators._exact_states, propagators._approx_states):
-            first = list(itertools.islice(states(frame, times()), 3))
-            for t, state in zip((0.0, 0.25, 0.5), first):
-                assert state.shape == (scen.dim, scen.dim)
-                assert np.linalg.norm(state - next(states(frame, [t]))) <= 1e-12
+            read.clear()
+            first = next(states(frame, times()))
+            assert len(read) == propagators._CHUNK
+            assert first.shape == (propagators._CHUNK, scen.dim, scen.dim)
+            for t, state in zip(grid, first):
+                assert np.linalg.norm(state - next(states(frame, [t]))[0]) <= 1e-12
 
     def test_log_grid_takes_one_exponential(self, monkeypatch):
         # Every step of a log grid differs; the ladder serves them all.
@@ -228,7 +234,8 @@ class TestExactWalk:
             gen = vectorized_generator(scen.hamiltonian.matrix, members)
             rho0 = scen.initial_state.matrix
             frame = propagators._frame(scen)
-            walked = propagators._exact_states(frame, grid)
+            walked = np.concatenate(list(propagators._exact_states(frame, grid)))
+            assert len(walked) == len(grid)
             for t, state in zip(grid, walked):
                 ref = (taylor_expm(t * gen) @ rho0.reshape(-1)).reshape(rho0.shape)
                 assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - ref) <= 1e-12
@@ -239,7 +246,7 @@ class TestExactWalk:
         for grid in (np.linspace(0.0, 2.0, 12), np.geomspace(1e-2, 50.0, 9)):
             scen = rand_scenario(rng)
             frame = propagators._frame(scen)
-            walked = list(propagators._exact_states(frame, grid))
+            walked = np.concatenate(list(propagators._exact_states(frame, grid)))
             assert len(walked) == len(grid)
             for t, state in zip(grid, walked):
                 single = propagators.exact_propagate(scen, t)
