@@ -16,7 +16,6 @@ from projlind import (
     Scenario,
     approx_propagate_closed,
     exact_propagate,
-    state_diagnostics,
 )
 
 lam = 2.0
@@ -32,10 +31,10 @@ for t in scenario.time_grid:
     exact = exact_propagate(scenario, t)
     closed = approx_propagate_closed(scenario, t)
     analytic = 0.5 * np.exp(-lam * t / 2)
-    diag = state_diagnostics(closed)
+    purity = np.trace(closed @ closed).real
     print(f"{t:4.2f}   {abs(closed[0, 1]):.6f}     {analytic:.6f}"
           f"          {np.linalg.norm(exact - closed):8.1e}        "
-          f"{abs(closed[0, 1] - analytic):8.1e}       {diag.purity:.4f}")
+          f"{abs(closed[0, 1] - analytic):8.1e}       {purity:.4f}")
 
 # At t = ln 4 the decay factor is exactly 1/4: the hand-checkable value.
 t_star = np.log(4.0)

@@ -6,12 +6,10 @@ factorized approximation that is exact whenever the Hamiltonian commutes
 with every projector, and tooling to quantify the gap between the two.
 """
 
-from .analysis import (ErrorRecord, PauliDecomposition, StateDiagnostics, convergence_order,
-                       pauli_decompose, pauli_reconstruct, state_diagnostics, sweep,
-                       trace_distance)
+from .analysis import (ErrorRecord, PauliDecomposition, convergence_order, pauli_decompose,
+                       pauli_reconstruct, sweep, trace_distance)
 from .config import dumps_config, load_config, parse_config
 from .exceptions import ConfigError, DimensionError, InvalidInputError
-from .linalg import devectorize, matexp, vectorize
 from .model import (DensityMatrix, FamilyValidation, Hamiltonian, ProjectorFamily, Scenario,
                     coherence_block_projector, dissipator_superop, hamiltonian_superop,
                     projector_exp, projector_from_vectors, validate_family)
@@ -32,18 +30,15 @@ __all__ = [
     "ProjectorFamily",
     "PRESET_NAMES",
     "Scenario",
-    "StateDiagnostics",
     "approx_propagate_closed",
     "bch_error_indicator",
     "coherence_block_projector",
     "convergence_order",
-    "devectorize",
     "dissipator_superop",
     "dumps_config",
     "exact_propagate",
     "hamiltonian_superop",
     "load_config",
-    "matexp",
     "parse_config",
     "pauli_decompose",
     "pauli_reconstruct",
@@ -51,9 +46,7 @@ __all__ = [
     "preset_text",
     "projector_exp",
     "projector_from_vectors",
-    "state_diagnostics",
     "sweep",
     "trace_distance",
     "validate_family",
-    "vectorize",
 ]

@@ -1,4 +1,4 @@
-"""Comparison metrics, state diagnostics and time sweeps."""
+"""Comparison metrics, the two-qubit Pauli decomposition and time sweeps."""
 
 from __future__ import annotations
 
@@ -43,14 +43,6 @@ class ErrorRecord:
 
 
 @dataclass(frozen=True)
-class StateDiagnostics:
-    hermiticity_residual: float
-    trace: complex
-    min_eigenvalue: float
-    purity: float
-
-
-@dataclass(frozen=True)
 class PauliDecomposition:
     """Two-qubit Bloch-type coefficients.
 
@@ -83,24 +75,11 @@ def trace_distance(rho, sigma) -> float | np.ndarray:
     if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"states must share a square shape, got {a.shape} and {b.shape}")
     for name, m in (("rho", a), ("sigma", b)):
-        if np.any(hermiticity_residual(m) > HERMITICITY_TOL):
+        if not np.all(hermiticity_residual(m) <= HERMITICITY_TOL):
             raise InvalidInputError(f"{name} is not Hermitian within {HERMITICITY_TOL:g}")
     eigs = np.linalg.eigvalsh(_hermitian_part(a) - _hermitian_part(b))
     distance = 0.5 * np.abs(eigs).sum(-1)
     return float(distance) if a.ndim == 2 else distance
-
-
-def state_diagnostics(rho) -> StateDiagnostics:
-    """Hermiticity residual, trace, minimum eigenvalue and purity tr(rho^2)."""
-    a = np.asarray(rho, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"state must be square, got shape {a.shape}")
-    return StateDiagnostics(
-        hermiticity_residual=hermiticity_residual(a),
-        trace=complex(np.trace(a)),
-        min_eigenvalue=float(np.linalg.eigvalsh(_hermitian_part(a))[0]),
-        purity=float(np.trace(a @ a).real),
-    )
 
 
 def pauli_decompose(rho) -> PauliDecomposition:

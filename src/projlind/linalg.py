@@ -1,14 +1,9 @@
 """Dense matrix kernel.
 
-Row-stacking vectorization and the matrix exponential, on plain ``numpy``
-arrays: ``complex128``, except that :func:`matexp` keeps ``float64`` input
-real. Every function is pure; inputs are never modified.
-
-The vectorization convention is row stacking: an n x n matrix X maps to
-the length n^2 vector (x11, x12, ..., x1n, ..., xn1, ..., xnn). Under
-this convention vec(A X B) = (A kron B^T) vec(X), which fixes the
-A kron B^T form used by the superoperator builders elsewhere in the
-package. Column stacking would silently flip it to B^T kron A.
+The Hermiticity gate, the matrix exponential and the Taylor action of the
+exact walk, on plain ``numpy`` arrays: ``complex128``, except that
+:func:`matexp` keeps ``float64`` input real. Every function is pure;
+inputs are never modified.
 """
 
 from __future__ import annotations
@@ -42,14 +37,6 @@ _PADE_THETA = (
 )
 
 
-def _as_square(m, real_ok: bool = False) -> np.ndarray:
-    a = np.asarray(m)
-    a = a.astype(float if real_ok and a.dtype == np.float64 else complex, copy=False)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {a.shape}")
-    return a
-
-
 def hermiticity_residual(m) -> float | np.ndarray:
     """Relative Hermiticity defect ||m - m^dag||_F / max(1, ||m||_F).
 
@@ -60,22 +47,6 @@ def hermiticity_residual(m) -> float | np.ndarray:
     residual = (np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
                 / np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))))
     return float(residual) if a.ndim == 2 else residual
-
-
-def vectorize(x) -> np.ndarray:
-    """Row-stack a square matrix into a length n^2 vector."""
-    a = _as_square(x)
-    return a.reshape(-1).copy()
-
-
-def devectorize(v, n: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`: reshape a length n^2 vector to n x n."""
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got shape {a.shape}")
-    if a.shape[0] != n * n:
-        raise DimensionError(f"vector of length {a.shape[0]} cannot fill a {n}x{n} matrix")
-    return a.reshape(n, n).copy()
 
 
 def _pade_expm(a: np.ndarray) -> np.ndarray:
@@ -97,23 +68,13 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
     else:
         degree = next(m for m, theta in _PADE_THETA if norm <= theta)
 
+    # Even powers I, A^2, A^4, ...; U collects odd coefficients, V even.
     c = _PADE_COEFFS[degree]
-    if degree == 13:
-        a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
-                 + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * ident)
-        v = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
-             + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * ident)
-    else:
-        # Even powers I, A^2, A^4, ...; U collects odd coefficients, V even.
-        powers = [ident, a @ a]
-        for _ in range((degree - 1) // 2 - 1):
-            powers.append(powers[-1] @ powers[1])
-        u = sum(c[j] * powers[(j - 1) // 2] for j in range(1, degree + 1, 2))
-        u = a @ u
-        v = sum(c[j] * powers[j // 2] for j in range(0, degree + 1, 2))
+    powers = [ident, a @ a]
+    for _ in range((degree - 1) // 2 - 1):
+        powers.append(powers[-1] @ powers[1])
+    u = a @ sum(c[j] * powers[(j - 1) // 2] for j in range(1, degree + 1, 2))
+    v = sum(c[j] * powers[j // 2] for j in range(0, degree + 1, 2))
 
     out = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
@@ -156,7 +117,10 @@ def matexp(m, assume: str | None = None) -> np.ndarray:
         is unitary to rounding, and requires the input to pass the symmetry
         gate at the relative tolerance ``HERMITICITY_TOL``.
     """
-    a = _as_square(m, real_ok=True)
+    a = np.asarray(m)
+    a = a.astype(float if a.dtype == np.float64 else complex, copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matexp input contains NaN or Inf entries")
 

@@ -10,6 +10,12 @@ lambda_j. This module owns the validated value types (states, Hamiltonians,
 projector families, scenarios) and the builders that lift the generator into
 the n^2-dimensional vectorized representation.
 
+The vectorization convention is row stacking: an n x n matrix X maps to
+the length n^2 vector X.reshape(-1) = (x11, x12, ..., x1n, ..., xnn).
+Under this convention vec(A X B) = (A kron B^T) vec(X), which fixes the
+A kron B^T form of the builders below. Column stacking would silently
+flip it to B^T kron A.
+
 All types are immutable after construction: arrays are copied in and marked
 read-only, so instances may be shared freely across threads.
 """
@@ -324,7 +330,10 @@ def projector_exp(scale: float, r) -> np.ndarray:
     """exp(scale * R) = 1 + (e^scale - 1) R for a projector R.
 
     Validated against the projector axioms; agrees with the general matrix
-    exponential but costs one scalar exponential.
+    exponential but costs one scalar exponential. ``scale`` must be finite.
     """
+    scale = float(scale)
+    if not np.isfinite(scale):
+        raise InvalidInputError(f"scale must be a finite number, got {scale!r}")
     a = _check_projector(r, "superoperator")
-    return np.eye(a.shape[0], dtype=complex) + (np.exp(float(scale)) - 1.0) * a
+    return np.eye(a.shape[0], dtype=complex) + (np.exp(scale) - 1.0) * a

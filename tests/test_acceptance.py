@@ -19,13 +19,12 @@ from projlind import (
     analysis,
     cli,
     coherence_block_projector,
-    matexp,
     presets,
     projector_exp,
     propagators,
     sweep,
-    vectorize,
 )
+from projlind.linalg import matexp
 from projlind.model import DensityMatrix, Hamiltonian, ProjectorFamily, Scenario
 
 from oracles import (
@@ -74,7 +73,7 @@ def test_c01_vectorization_identity():
         for _ in range(50):
             a, b, x = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                        for _ in range(3))
-            residual = np.linalg.norm(vectorize(a @ x @ b) - np.kron(a, b.T) @ vectorize(x))
+            residual = np.linalg.norm((a @ x @ b).reshape(-1) - np.kron(a, b.T) @ x.reshape(-1))
             bound = 1e-12 * np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(x)
             assert residual <= bound
 

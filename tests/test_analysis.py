@@ -86,6 +86,19 @@ class TestTraceDistance:
                            match=f"^{name} is not Hermitian within 1e-10$"):
             analysis.trace_distance(states["rho"], states["sigma"])
 
+    def test_rejects_nan_state(self):
+        with pytest.raises(InvalidInputError, match="^sigma is not Hermitian"):
+            analysis.trace_distance(np.eye(2) / 2, np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("name", ["rho", "sigma"])
+    def test_stack_rejects_a_nan_member(self, name):
+        rng = np.random.default_rng(39)
+        states = {n: np.array([rand_density(3, rng) for _ in range(5)])
+                  for n in ("rho", "sigma")}
+        states[name][2, 1, 1] = np.nan
+        with pytest.raises(InvalidInputError, match=f"^{name} is not Hermitian"):
+            analysis.trace_distance(states["rho"], states["sigma"])
+
     @pytest.mark.parametrize("shapes", [
         ((3, 2, 2), (4, 2, 2)), ((3, 2, 2), (2, 2)), ((3, 2, 3), (3, 2, 3)), ((2,), (2,))])
     def test_stack_rejects_mismatched_shapes(self, shapes):
@@ -96,28 +109,6 @@ class TestTraceDistance:
         rng = np.random.default_rng(41)
         assert type(analysis.trace_distance(rand_density(3, rng), rand_density(3, rng))) \
             is float
-
-
-class TestStateDiagnostics:
-    def test_maximally_mixed_qubit(self):
-        d = analysis.state_diagnostics(0.5 * np.eye(2))
-        assert d.trace == pytest.approx(1.0)
-        assert d.min_eigenvalue == pytest.approx(0.5)
-        assert d.purity == pytest.approx(0.5)
-
-    def test_pure_state(self):
-        assert analysis.state_diagnostics(np.diag([1.0, 0.0])).purity == pytest.approx(1.0)
-
-    def test_hand_computed_purity(self):
-        rho = 0.5 * np.array([[1.0, 0.25], [0.25, 1.0]])
-        assert analysis.state_diagnostics(rho).purity == pytest.approx(0.53125, abs=1e-14)
-
-    def test_purity_range_for_valid_states(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            d = analysis.state_diagnostics(rand_density(n, rng))
-            assert 1.0 / n - 1e-10 <= d.purity <= 1.0 + 1e-10
 
 
 class TestPauliDecomposition:
@@ -284,8 +275,7 @@ class TestSweep:
                 assert abs(r.exact_trace - np.trace(e)) <= 1e-12
             for r in (rec, only_a):
                 assert abs(r.approx_trace - np.trace(a)) <= 1e-12
-                assert abs(r.approx_min_eigenvalue
-                           - analysis.state_diagnostics(a).min_eigenvalue) <= 1e-12
+                assert abs(r.approx_min_eigenvalue - np.linalg.eigvalsh(a)[0]) <= 1e-12
             for r in (rec, only_e, only_a):
                 assert r.bch_indicator == propagators.bch_error_indicator(scen, t)
             assert np.isnan([only_e.trace_distance, only_e.frobenius_gap,

