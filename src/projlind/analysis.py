@@ -8,7 +8,7 @@ from itertools import repeat
 import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
-from .linalg import HERMITICITY_TOL, hermiticity_residual
+from .linalg import HERMITICITY_TOL, _hermitian_part, hermiticity_residual
 from .model import Scenario
 from .propagators import _approx_states, _bch_constant, _chunks, _exact_states, _frame
 
@@ -55,11 +55,6 @@ class PauliDecomposition:
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
-
-
-def _hermitian_part(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def trace_distance(rho, sigma) -> float | np.ndarray:

@@ -330,10 +330,15 @@ def projector_exp(scale: float, r) -> np.ndarray:
     """exp(scale * R) = 1 + (e^scale - 1) R for a projector R.
 
     Validated against the projector axioms; agrees with the general matrix
-    exponential but costs one scalar exponential. ``scale`` must be finite.
+    exponential but costs one scalar exponential. ``scale`` must be finite,
+    and e^scale must not overflow.
     """
     scale = float(scale)
     if not np.isfinite(scale):
         raise InvalidInputError(f"scale must be a finite number, got {scale!r}")
     a = _check_projector(r, "superoperator")
-    return np.eye(a.shape[0], dtype=complex) + (np.exp(scale) - 1.0) * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.eye(a.shape[0], dtype=complex) + (np.exp(scale) - 1.0) * a
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError(f"exp({scale!r}) R overflows")
+    return out

@@ -33,41 +33,78 @@ whose square root is computed once per scenario. Neither forms an
 n^2 x n^2 array.
 
 The exact generator in the frame, L(X) = -i (H'X - XH') - G o X, preserves
-Hermiticity, so it is a real matrix in any orthonormal basis of Hermitian
-matrices (Alicki & Lendi, Quantum Dynamical Semigroups, LNP 286). The basis
-used here is 1/sqrt(n) and the n^2 - 1 traceless matrices F_k: diag(q) for
-the columns q of a Householder reflection orthogonal to the all-ones
-vector, and (E_jk + E_kj)/sqrt2 and i (E_jk - E_kj)/sqrt2 for j < k. Since
-L(1) = 0 and L preserves the trace, the row and column of 1/sqrt(n) are
-zero, and the rest is a real (n^2 - 1)-square matrix M: skew-symmetric from
-the commutator minus the non-negative diagonal G_jk of the off-diagonal
+Hermiticity and the trace, and it has two kernels.
+
+The matrix-free kernel applies L to the n x n frame state, one n x n
+product per application: with Z = -i tau H' T,
+
+    tau L(T) = Z + Z^dag - (tau G) o T
+
+for Hermitian T, and each such sum is exactly Hermitian, so every state
+walked from the Hermitian part of X0 is Hermitian to the last bit. Between
+grid points it takes ceil(h nu) substeps of equal length tau, each a
+truncated Taylor series of exp(tau L) with tau nu <= 1, where
+
+    nu = (w_max - w_min) + max G,   w the eigenvalues of H',
+
+bounds ||L|| in the norm induced by the Frobenius norm: in the eigenbasis
+of H' the commutator part multiplies the (a, b) element by -i (w_a - w_b),
+so it is normal with spectral radius w_max - w_min, and the decay part
+multiplies the (a, b) element by -G_ab, so its norm is max G; the
+triangle inequality adds them. nu costs one eigvalsh of H' per scenario,
+and nu = 0 (n = 1, or H' a multiple of 1 with no decay) takes no substep.
+This kernel costs about 17 (t nu + b) n x n products for b points up to
+time t.
+
+The dense kernel writes L as a real matrix in an orthonormal basis of
+Hermitian matrices (Alicki & Lendi, Quantum Dynamical Semigroups, LNP 286):
+1/sqrt(n) and the n^2 - 1 traceless matrices F_k, diag(q) for the columns q
+of a Householder reflection orthogonal to the all-ones vector, and
+(E_jk + E_kj)/sqrt2 and i (E_jk - E_kj)/sqrt2 for j < k. Since L(1) = 0 and
+L preserves the trace, the row and column of 1/sqrt(n) are zero, and the
+rest is a real (n^2 - 1)-square matrix M: skew-symmetric from the
+commutator minus the non-negative diagonal G_jk of the off-diagonal
 elements, so exp(hM) is a contraction. M is built once per scenario, in
 O(n^5), and the coordinates x of X0 are walked along the grid by one
 ladder of squarings. Its base beta is the first positive step scaled by a
 power of two to 1/2 <= ||beta M||_1 < 1; E_0 = exp(beta M) is the
-scenario's one Pade exponential, and E_{j+1} = E_j E_j is squared only as
-far as the largest step needs. (A base far below 1/||M||_1 would carry the
-rounding of E_0 through more squarings than the steps need.) A step
-h = m beta + delta, 0 <= delta < beta, applies E_j for each set bit of m and
-then exp(delta M) x by a truncated Taylor series, matrix-vector products
-only; a remainder equal to the previous step's takes exp(delta M) once and
+scenario's one Pade exponential, through :func:`projlind.linalg.matexp`,
+and E_{j+1} = E_j E_j is squared only as far as the largest step needs.
+(A base far below 1/||M||_1 would carry the rounding of E_0 through more
+squarings than the steps need.) A step h = m beta + delta,
+0 <= delta < beta, applies E_j for each set bit of m and then
+exp(delta M) x by a truncated Taylor series, matrix-vector products only;
+a remainder equal to the previous step's takes exp(delta M) once and
 reuses it. A grid that is uniform up to the rounding of its points, with a
 step of at least 1/(2 ||M||_1), takes no remainder, so it costs one
 exponential and the squarings up to its step; a finer uniform grid takes
 one Taylor action and one exponential of its step. Each state
 1/n + sum_k x_k F_k is Hermitian by construction and has trace 1 to
-rounding, however stiff t L is. The unstructured route exp(t (A + B)) is an
-oracle in the test suite.
+rounding, however stiff t L is. Its cost, O(n^6) for the Pade exponential
+and the squarings, hardly depends on the grid.
 
-The exact path takes one Pade exponential per scenario for its ladder,
-through :func:`projlind.linalg.matexp`, whatever its grid, and one more
-only when a remainder repeats; the closed form takes one eigendecomposition
-of H' per time point. Both work on chunks of at most _CHUNK consecutive
-times and yield one (b, n, n) stack of states per chunk: the exact walk
-rebuilds a chunk's states from its coordinate vectors in one call, and the
-closed form applies its unitary factors as stacked products. A sweep so
-holds O(n^4 + _CHUNK n^2) numbers whatever the length of its grid. Only
-the public functions rotate a frame state back to the lab frame.
+A scenario's exact states come from the matrix-free kernel when
+
+    17 (t nu + b) <= n^3 / 3
+
+for a grid of b points ending at t: the Taylor kernel's n x n products
+against the dense kernel's build, Pade exponential and squarings, in units
+of n^3, as measured on one BLAS thread. The rule reads only the scenario
+and its grid, never a clock, so a run repeats to the bit. A 12-point grid
+with t nu near 15 goes matrix-free from n = 12 up, which reaches n = 64;
+a grid with t nu in the thousands stays dense below n = 59.
+Both kernels share the Taylor stopping rule of
+:func:`projlind.linalg._taylor_action`. The unstructured route
+exp(t (A + B)) is an oracle in the test suite.
+
+The closed form takes one eigendecomposition of H' per time point. Both
+paths work on chunks of at most _CHUNK consecutive times and yield one
+(b, n, n) stack of states per chunk: the exact kernels collect a chunk's
+states (the dense one rebuilds them from its coordinate vectors in one
+call), and the closed form applies its unitary factors as stacked
+products. A sweep so holds O(n^4 + _CHUNK n^2) numbers whatever the length
+of its grid. Only the public functions rotate a frame state back to the
+lab frame.
 """
 
 from __future__ import annotations
@@ -79,7 +116,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .linalg import _taylor_action, matexp
+from .linalg import _hermitian_part, _taylor_action, matexp
 from .model import Scenario
 
 #: Most time points in one stack of states; bounds the memory of a sweep.
@@ -124,8 +161,8 @@ def _check_time(t) -> float:
 
 
 def exact_propagate(scenario: Scenario, t) -> np.ndarray:
-    """Exact solution exp(t (A + B)) rho0 from the real trace-deflated
-    generator of the module docstring.
+    """Exact solution exp(t (A + B)) rho0, by the kernel that the cost rule
+    of the module docstring picks for the single time t.
 
     Returns the lab-frame state as a plain ndarray, still unvalidated."""
     return _propagate(scenario, t, _exact_states)
@@ -219,6 +256,53 @@ def _traceless(c: np.ndarray, q: np.ndarray, pairs) -> np.ndarray:
 
 def _exact_states(frame: _Frame, times):
     """Yield the exact states in the frame at the ascending non-negative
+    ``times``, a sequence, one (b, n, n) stack per chunk, from the kernel
+    that the cost rule of the module docstring picks for the grid."""
+    nu = _norm_bound(frame)
+    if 17.0 * (float(times[-1]) * nu + len(times)) <= frame.v.shape[0] ** 3 / 3.0:
+        return _taylor_states(frame, times, nu)
+    return _ladder_states(frame, times)
+
+
+def _norm_bound(frame: _Frame) -> float:
+    """nu = (w_max - w_min) + max G >= ||L|| of the module docstring."""
+    w = np.linalg.eigvalsh(frame.h)
+    return float(w[-1] - w[0] + frame.g.max())
+
+
+def _taylor_states(frame: _Frame, times, nu: float):
+    """Yield the exact states in the frame at the ascending non-negative
+    ``times``, one (b, n, n) stack per chunk, by matrix-free Taylor
+    substeps of tau nu <= 1, for a bound ``nu`` >= ||L||."""
+    mih = -1j * _hermitian_part(frame.h)
+    # Complex, so the Schur product takes no mixed-type loop; same values.
+    g = frame.g.astype(complex)
+    x = _hermitian_part(frame.x0)
+    prev = 0.0
+    for chunk in _chunks(times):
+        states = []
+        for t in chunk:
+            substeps = math.ceil((t - prev) * nu)
+            if substeps:
+                tau = (t - prev) / substeps
+
+                def step(y, k):
+                    # (tau/k) L(y), exactly Hermitian for Hermitian y.
+                    z = mih @ y
+                    z += z.conj().T
+                    z -= g * y
+                    z *= tau / k
+                    return z
+
+                for _ in range(substeps):
+                    x = _taylor_action(step, tau * nu, x)
+            prev = t
+            states.append(x)
+        yield np.array(states)
+
+
+def _ladder_states(frame: _Frame, times):
+    """Yield the exact states in the frame at the ascending non-negative
     ``times``, one (b, n, n) stack per chunk, walking the real generator M
     of the module docstring along them by its ladder of squarings."""
     n = frame.v.shape[0]
@@ -263,7 +347,8 @@ def _exact_states(frame: _Frame, times):
                         x = rem_prop @ x
                     else:
                         rem, rem_prop = delta, None
-                        x = _taylor_action(gen, norm, delta, x)
+                        x = _taylor_action(lambda y, k: (delta / k) * (gen @ y),
+                                           delta * norm, x)
             prev = t
             coords.append(x)
         yield _traceless(np.array(coords), q, pairs) + np.eye(n) / n

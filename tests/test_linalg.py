@@ -105,6 +105,20 @@ def test_hermiticity_residual_of_a_stack_matches_each_matrix():
                     residuals, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("n", [1, 8, 32])
+def test_hermiticity_residual_of_a_matrix_matches_its_stack(n):
+    # A single matrix takes its own path; it must agree with the stacked one.
+    rng = np.random.default_rng(n)
+    for m in (rand_hermitian(n, rng), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+              1e-3 * rng.normal(size=(n, n))):
+        single = linalg.hermiticity_residual(m)
+        assert type(single) is float
+        assert_allclose(single, linalg.hermiticity_residual(m[None])[0], rtol=1e-14, atol=0)
+    nan = np.eye(n, dtype=complex)
+    nan[0, -1] = np.nan
+    assert np.isnan(linalg.hermiticity_residual(nan))
+
+
 def test_hermiticity_residual_of_a_matrix_is_a_float():
     assert type(linalg.hermiticity_residual(np.eye(3))) is float
     # Relative to max(1, ||m||_F): ||m - m^dag||_F = sqrt(2) for this m.

@@ -308,6 +308,17 @@ class TestProjectorExp:
         with pytest.raises(InvalidInputError, match="scale must be a finite number"):
             model.projector_exp(scale, np.eye(4))
 
+    @pytest.mark.parametrize("scale", [710.0, 800.0])
+    def test_rejects_an_overflowing_scale(self, scale):
+        # e^710 overflows; inf * 0 would fill the off-support entries with NaN.
+        with pytest.raises(InvalidInputError, match="overflows"):
+            model.projector_exp(scale, np.diag([1.0, 0.0]))
+
+    def test_extreme_finite_scales(self):
+        r = np.diag([1.0, 0.0])
+        assert_allclose(model.projector_exp(709.0, r), np.diag([np.exp(709.0), 1.0]))
+        assert_allclose(model.projector_exp(-800.0, r), np.diag([0.0, 1.0]), atol=0)
+
 
 class TestScenario:
     def _scenario(self, grid):

@@ -1,8 +1,13 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from projlind import analysis, linalg, model, propagators
+from projlind import analysis, config, linalg, model, propagators
 from projlind.exceptions import InvalidInputError
 
 from oracles import (
@@ -149,6 +154,11 @@ def long_time_scenario(rng, scale):
                          rand_density(n, rng))
 
 
+def taylor_states(frame, times):
+    """The matrix-free exact kernel, whatever the cost rule would pick."""
+    return propagators._taylor_states(frame, times, propagators._norm_bound(frame))
+
+
 class TestExactWalk:
     @pytest.mark.parametrize("stop, count", [(2.0, 12), (500.0, 400)])
     def test_uniform_grid_takes_one_exponential(self, monkeypatch, stop, count):
@@ -185,9 +195,9 @@ class TestExactWalk:
             assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - single) <= 1e-12
 
     def test_states_stream_one_chunk_at_a_time(self):
-        # Each path yields one stack per chunk of _CHUNK times and holds no
-        # array over the grid, so it reads no time beyond the chunk it is
-        # asked for.
+        # Each exact kernel and the closed form yield one stack per chunk of
+        # _CHUNK times and hold no array over the grid, so they read no time
+        # beyond the chunk they are asked for.
         grid = 0.03 * np.arange(propagators._CHUNK + 3)
         read = []
 
@@ -200,7 +210,7 @@ class TestExactWalk:
         rng = np.random.default_rng(23)
         scen = rand_scenario(rng)
         frame = propagators._frame(scen)
-        for states in (propagators._exact_states, propagators._approx_states):
+        for states in (propagators._ladder_states, taylor_states, propagators._approx_states):
             read.clear()
             first = next(states(frame, times()))
             assert len(read) == propagators._CHUNK
@@ -482,3 +492,121 @@ def test_propagation_is_deterministic():
     a = propagators.exact_propagate(DRIVEN, 0.7)
     b = propagators.exact_propagate(DRIVEN, 0.7)
     assert np.array_equal(a, b)
+
+
+def perfbench_scenarios(workload, seed):
+    """The scenarios the benchmark generates for ``workload`` and ``seed``."""
+    module = sys.modules.get("perfbench_scenarios")
+    if module is None:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
+        spec = importlib.util.spec_from_file_location("perfbench_scenarios", path)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return [config.parse_config(json.dumps(module.to_config(case)))
+            for case in module.generate(workload, seed)]
+
+
+def chosen_kernel(monkeypatch, scen):
+    """The name of the exact kernel that the cost rule picks for the
+    scenario's grid; no kernel runs."""
+    chosen = []
+    for name in ("_taylor_states", "_ladder_states"):
+        monkeypatch.setattr(propagators, name,
+                            lambda *args, name=name: chosen.append(name))
+    propagators._exact_states(propagators._frame(scen), scen.time_grid)
+    return chosen.pop()
+
+
+class TestMatrixFreeKernel:
+    def test_agrees_with_the_dense_kernel(self, monkeypatch):
+        # n from 1 to 12, 0 to n projectors, commuting and generic H; both
+        # kernels forced on every grid.
+        taylor = counting(monkeypatch, propagators, "_taylor_action")
+        rng = np.random.default_rng(71)
+        for trial in range(60):
+            n = 1 + trial % 12
+            ps = rand_orthogonal_projectors(n, rand_ranks(n, int(rng.integers(0, n + 1)), rng),
+                                            rng)
+            members = [(p, float(rng.uniform(0.2, 3.0))) for p in ps]
+            h = rand_hermitian(n, rng)
+            if trial % 3 == 0:
+                h = sum((float(rng.normal()) * p for p in ps), np.zeros((n, n), complex))
+            grid = np.linspace(0.0, float(rng.uniform(0.1, 3.0)), int(rng.integers(1, 9)))
+            scen = make_scenario(h, members, rand_density(n, rng), grid, dim=n)
+            frame = propagators._frame(scen)
+            dense = np.concatenate(list(propagators._ladder_states(frame, grid)))
+            walked = np.concatenate(list(taylor_states(frame, grid)))
+            assert np.linalg.norm(walked - dense, axis=(-2, -1)).max() <= 1e-12
+        assert taylor
+
+    @pytest.mark.parametrize("h, members", [
+        (np.eye(1), []),
+        (np.eye(1), [(np.eye(1), 2.0)]),
+        (2.0 * np.eye(3), []),
+    ])
+    def test_zero_bound_takes_no_substep(self, monkeypatch, h, members):
+        # nu = 0: the state is X0 at every time, and no division by zero.
+        taylor = counting(monkeypatch, propagators, "_taylor_action")
+        n = h.shape[0]
+        rho0 = np.eye(n) / n
+        scen = make_scenario(h, members, rho0, (0.0, 0.5, 7.0), dim=n)
+        frame = propagators._frame(scen)
+        assert propagators._norm_bound(frame) == 0.0
+        walked = np.concatenate(list(taylor_states(frame, scen.time_grid)))
+        assert taylor == []
+        assert np.array_equal(walked, np.broadcast_to(frame.x0, walked.shape))
+
+    def test_states_are_exactly_hermitian_with_unit_trace(self):
+        rng = np.random.default_rng(29)
+        for max_dim in (2, 5, 12):
+            scen = rand_scenario(rng, max_dim=max_dim)
+            scen = model.Scenario(scen.hamiltonian, scen.family, scen.initial_state,
+                                  np.linspace(0.0, 3.0, 9))
+            walked = np.concatenate(list(taylor_states(propagators._frame(scen),
+                                                       scen.time_grid)))
+            assert np.array_equal(walked, walked.conj().swapaxes(-1, -2))
+            assert np.abs(np.trace(walked, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
+
+    def test_rule_keeps_stiff_and_long_horizons_dense(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        ps = rand_orthogonal_projectors(8, [2, 1, 2], rng)
+        h = rand_hermitian(8, rng)
+        stiff = make_scenario(5.0 * h / np.linalg.norm(h, 2), [(p, 1.0) for p in ps],
+                              rand_density(8, rng), [1e8])
+        assert chosen_kernel(monkeypatch, stiff) == "_ladder_states"
+        for seed in (1, 2, 3):
+            for scen in perfbench_scenarios("long-time", seed):
+                assert chosen_kernel(monkeypatch, scen) == "_ladder_states"
+
+    def test_rule_takes_short_horizons_at_large_n(self, monkeypatch):
+        # dense-compare: n = 8, 10, 12, 14, 16 and a commuting n = 12.
+        scens = perfbench_scenarios("dense-compare", 2)
+        assert [scen.dim for scen in scens] == [8, 10, 12, 14, 16, 12]
+        picks = [chosen_kernel(monkeypatch, scen) for scen in scens]
+        assert picks == ["_ladder_states"] * 2 + ["_taylor_states"] * 4
+
+    def test_n64_commuting_sweep_takes_no_pade(self, monkeypatch):
+        # H commutes with every projector, so the closed form is exact.
+        pade = counting(monkeypatch, linalg, "_pade_expm")
+        rng = np.random.default_rng(64)
+        n = 64
+        ps = rand_orthogonal_projectors(n, [8, 16, 4, 20], rng)
+        members = [(p, float(rng.uniform(0.5, 2.0))) for p in ps]
+        h = sum((float(rng.normal()) * p for p in ps), np.zeros((n, n), complex))
+        scen = make_scenario(h, members, rand_density(n, rng), np.linspace(0.0, 2.0, 12))
+        records = analysis.sweep(scen, "compare")
+        assert pade == []
+        assert len(records) == 12
+        assert max(r.frobenius_gap for r in records) <= 1e-12
+
+    def test_sweeps_repeat_to_the_bit(self, monkeypatch):
+        taylor = counting(monkeypatch, propagators, "_taylor_action")
+        rng = np.random.default_rng(31)
+        n = 12
+        ps = rand_orthogonal_projectors(n, [2, 3, 1], rng)
+        h = rand_hermitian(n, rng)
+        scen = make_scenario(h / np.linalg.norm(h, 2), [(p, 1.5) for p in ps],
+                             rand_density(n, rng), np.linspace(0.0, 2.0, 12))
+        first = analysis.sweep(scen, "compare")
+        assert taylor
+        assert analysis.sweep(scen, "compare") == first
