@@ -83,7 +83,10 @@ def pauli_decompose(rho) -> PauliDecomposition:
     a = np.asarray(rho, dtype=complex)
     if a.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 two-qubit state, got shape {a.shape}")
-    if hermiticity_residual(a) > HERMITICITY_TOL:
+    # An overflowing residual is NaN, which fails the gate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = hermiticity_residual(a)
+    if not residual <= HERMITICITY_TOL:
         raise InvalidInputError("two-qubit state is not Hermitian")
     eye = np.eye(2, dtype=complex)
     p = np.array([np.trace(a @ np.kron(s, eye)).real for s in _SIGMAS])

@@ -32,6 +32,10 @@ from .linalg import HERMITICITY_TOL, hermiticity_residual
 #: Uniform absolute tolerance of the model-type validation gates.
 VALIDATION_TOL = 1e-10
 
+# Every gate reads "not residual <= tol", so a NaN residual fails it. Entries
+# near the float limit overflow to such a residual; numpy need not warn
+# about it as well, so the residuals are taken with those warnings off.
+
 
 def _frozen_complex(m, name: str, square: bool = True) -> np.ndarray:
     a = np.array(m, dtype=complex)
@@ -55,14 +59,16 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = _frozen_complex(self.matrix, "density matrix")
-        if hermiticity_residual(a) > VALIDATION_TOL:
-            raise InvalidInputError(
-                f"density matrix is not Hermitian (residual {hermiticity_residual(a):.3e})")
-        tr = np.trace(a)
-        if abs(tr - 1.0) > VALIDATION_TOL:
-            raise InvalidInputError(f"density matrix trace is {tr:.12g}, expected 1")
-        min_eig = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
-        if min_eig < -VALIDATION_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = hermiticity_residual(a)
+            if not residual <= VALIDATION_TOL:
+                raise InvalidInputError(
+                    f"density matrix is not Hermitian (residual {residual:.3e})")
+            tr = np.trace(a)
+            if not abs(tr - 1.0) <= VALIDATION_TOL:
+                raise InvalidInputError(f"density matrix trace is {tr:.12g}, expected 1")
+            min_eig = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+        if not min_eig >= -VALIDATION_TOL:
             raise InvalidInputError(
                 f"density matrix has negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "matrix", a)
@@ -80,9 +86,10 @@ class Hamiltonian:
 
     def __post_init__(self):
         a = _frozen_complex(self.matrix, "Hamiltonian")
-        if hermiticity_residual(a) > HERMITICITY_TOL:
-            raise InvalidInputError(
-                f"Hamiltonian is not Hermitian (residual {hermiticity_residual(a):.3e})")
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = hermiticity_residual(a)
+        if not residual <= HERMITICITY_TOL:
+            raise InvalidInputError(f"Hamiltonian is not Hermitian (residual {residual:.3e})")
         object.__setattr__(self, "matrix", a)
 
     @property
@@ -134,25 +141,22 @@ def validate_family(members) -> FamilyValidation:
     if len(dims) > 1:
         raise DimensionError(f"projectors have mixed dimensions {sorted(dims)}")
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = [float(np.linalg.norm(p - p.conj().T)) for p in mats]
+        idem = [float(np.linalg.norm(p @ p - p)) for p in mats]
+        ortho = [(j, k, float(np.linalg.norm(mats[j] @ mats[k])))
+                 for j in range(len(mats)) for k in range(j + 1, len(mats))]
     failures = []
-    herm = []
-    idem = []
-    for j, p in enumerate(mats):
-        herm.append(float(np.linalg.norm(p - p.conj().T)))
-        idem.append(float(np.linalg.norm(p @ p - p)))
-        for what, res in (("hermiticity", herm[-1]), ("idempotency", idem[-1])):
-            if res > VALIDATION_TOL:
+    for j in range(len(mats)):
+        for what, res in (("hermiticity", herm[j]), ("idempotency", idem[j])):
+            if not res <= VALIDATION_TOL:
                 failures.append(
                     f"projector {j}: {what} residual {res:.3e} exceeds {VALIDATION_TOL:g}")
-    ortho = []
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            res = float(np.linalg.norm(mats[j] @ mats[k]))
-            ortho.append((j, k, res))
-            if res > VALIDATION_TOL:
-                failures.append(
-                    f"projector pair ({j}, {k}): not mutually orthogonal "
-                    f"(residual {res:.3e} exceeds {VALIDATION_TOL:g})")
+    for j, k, res in ortho:
+        if not res <= VALIDATION_TOL:
+            failures.append(
+                f"projector pair ({j}, {k}): not mutually orthogonal "
+                f"(residual {res:.3e} exceeds {VALIDATION_TOL:g})")
     for j, rate in enumerate(rates):
         if not np.isfinite(rate) or rate <= 0.0:
             failures.append(f"projector {j}: rate must be a positive number, got {rate!r}")
@@ -272,11 +276,12 @@ def projector_from_vectors(vectors) -> np.ndarray:
 
 def _check_projector(p, name: str = "input") -> np.ndarray:
     a = _frozen_complex(p, name)
-    if hermiticity_residual(a) > HERMITICITY_TOL:
-        raise InvalidInputError(
-            f"{name} is not Hermitian (residual {hermiticity_residual(a):.3e})")
-    idem = np.linalg.norm(a @ a - a)
-    if idem > VALIDATION_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = hermiticity_residual(a)
+        idem = np.linalg.norm(a @ a - a)
+    if not herm <= HERMITICITY_TOL:
+        raise InvalidInputError(f"{name} is not Hermitian (residual {herm:.3e})")
+    if not idem <= VALIDATION_TOL:
         raise InvalidInputError(f"{name} is not idempotent (residual {idem:.3e})")
     return a
 

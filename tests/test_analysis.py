@@ -112,6 +112,12 @@ class TestTraceDistance:
 
 
 class TestPauliDecomposition:
+    def test_rejects_an_overflowing_hermiticity_residual(self):
+        state = np.eye(4) / 4.0
+        state[0, 3] = 1e200
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            analysis.pauli_decompose(state)
+
     def test_maximally_mixed(self):
         d = analysis.pauli_decompose(np.eye(4) / 4.0)
         assert np.linalg.norm(d.p) == 0.0

@@ -237,6 +237,38 @@ class TestValidate:
         assert captured.err.splitlines()[-1] == message
 
 
+OVERFLOWING_PROJECTOR = {"matrix": [[[1e200, 0.0], [1e200, 0.0]], [[1e200, 0.0], [-1e200, 0.0]]],
+                         "rate": 1.0}
+
+
+def overflowing_config(tmp_path):
+    """driven-qubit with a symmetric projector whose square overflows, so
+    its idempotency residual is NaN."""
+    doc = json.loads(presets.preset_text("driven-qubit"))
+    doc["projectors"][0] = OVERFLOWING_PROJECTOR
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+class TestNanResidual:
+    def test_validate_prints_fail(self, tmp_path, capsys):
+        assert cli.main(["validate", "--config", str(overflowing_config(tmp_path))]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-2:] == [
+            "result: FAIL", "  projector 0: idempotency residual nan exceeds 1e-10"]
+
+    def test_run_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = cli.main(["run", "--config", str(overflowing_config(tmp_path)),
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "idempotency residual nan" in err
+        assert not out.exists()
+
+
 class TestPresets:
     def test_list(self, capsys):
         assert cli.main(["presets"]) == 0

@@ -92,6 +92,13 @@ def test_matexp_rejects_bad_inputs():
         linalg.matexp(np.array([[0.0, 1.0], [0.0, 0.0]]), assume="anti_hermitian")
 
 
+def test_matexp_rejects_an_overflowing_symmetry_residual():
+    # ||m||_F overflows, so the relative residual is NaN, which must fail
+    # the gate rather than return a wrong "unitary".
+    with pytest.raises(InvalidInputError, match="symmetry gate"):
+        linalg.matexp(1j * np.array([[0.0, 1e200], [0.0, 0.0]]), assume="anti_hermitian")
+
+
 def test_hermiticity_residual_of_a_stack_matches_each_matrix():
     rng = np.random.default_rng(43)
     stack = np.array([rand_hermitian(4, rng) + 1e-3 * k * rng.normal(size=(4, 4))

@@ -18,6 +18,10 @@ from oracles import (
 P0 = np.diag([1.0, 0.0]).astype(complex)
 HADAMARD_PLUS = 0.5 * np.ones((2, 2), dtype=complex)   # |+><+|
 HADAMARD_MINUS = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
+# Symmetric, but P @ P overflows to a NaN idempotency residual.
+OVERFLOWING_PROJECTOR = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
+# ||m||_F overflows, so the relative Hermiticity residual is inf / inf = NaN.
+OVERFLOWING_NON_HERMITIAN = np.array([[0.0, 1e200], [0.0, 0.0]])
 
 
 def family(*pairs, dim=0):
@@ -42,6 +46,22 @@ class TestDensityMatrix:
         with pytest.raises(InvalidInputError, match="negative"):
             model.DensityMatrix(np.diag([1.5, -0.5]))
 
+    # Each gate on its own: a NaN or infinite residual fails it, without a
+    # numpy warning.
+    def test_rejects_an_overflowing_hermiticity_residual(self):
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            model.DensityMatrix(OVERFLOWING_NON_HERMITIAN + np.eye(2) / 2.0)
+
+    def test_rejects_an_overflowing_trace(self):
+        with pytest.raises(InvalidInputError, match="trace"):
+            model.DensityMatrix(np.diag([1e308, 1e308]))
+
+    def test_rejects_an_overflowing_eigenvalue(self):
+        # Hermitian with unit trace, but its Hermitian part overflows to
+        # NaN eigenvalues.
+        with pytest.raises(InvalidInputError, match="eigenvalue nan"):
+            model.DensityMatrix(np.array([[0.5, 1e308], [1e308, 0.5]]))
+
 
 class TestHamiltonian:
     def test_valid(self):
@@ -51,6 +71,10 @@ class TestHamiltonian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInputError):
             model.Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_an_overflowing_hermiticity_residual(self):
+        with pytest.raises(InvalidInputError, match=r"residual nan"):
+            model.Hamiltonian(OVERFLOWING_NON_HERMITIAN)
 
 
 class TestValidateFamily:
@@ -84,8 +108,28 @@ class TestValidateFamily:
         lines = model.validate_family([(P0, 1.0)]).lines()
         assert lines[-1] == "result: PASS"
 
+    def test_overflowing_idempotency_residual_fails(self):
+        report = model.validate_family([(OVERFLOWING_PROJECTOR, 1.0)])
+        assert np.isnan(report.idempotency[0])
+        assert report.failures == ("projector 0: idempotency residual nan exceeds 1e-10",)
+        assert report.lines()[-2] == "result: FAIL"
+
+    def test_overflowing_hermiticity_residual_fails(self):
+        report = model.validate_family([(np.array([[1.0, 1e308], [-1e308, 0.0]]), 1.0)])
+        assert report.hermiticity[0] == np.inf
+        assert any("hermiticity residual inf" in msg for msg in report.failures)
+
+    def test_overflowing_orthogonality_residual_fails(self):
+        report = model.validate_family([(OVERFLOWING_PROJECTOR, 1.0)] * 2)
+        assert np.isnan(report.orthogonality[0][2])
+        assert any("(0, 1)" in msg and "orthogonal" in msg for msg in report.failures)
+
 
 class TestProjectorFamily:
+    def test_rejects_an_overflowing_projector(self):
+        with pytest.raises(InvalidInputError, match="idempotency residual nan"):
+            family((OVERFLOWING_PROJECTOR, 1.0))
+
     def test_constructor_fail_fast(self):
         with pytest.raises(InvalidInputError, match=r"\(0, 1\)"):
             family((P0, 1.0), (HADAMARD_PLUS, 1.0))
@@ -237,6 +281,14 @@ class TestCoherenceBlockProjector:
     def test_rejects_non_projector(self):
         with pytest.raises(InvalidInputError):
             model.coherence_block_projector(np.array([[0.5, 0.5], [0.5, 0.5]]) * 1.5)
+
+    @pytest.mark.parametrize("p, message", [
+        (OVERFLOWING_NON_HERMITIAN, r"not Hermitian \(residual nan\)"),
+        (OVERFLOWING_PROJECTOR, r"not idempotent \(residual nan\)"),
+    ], ids=["hermiticity", "idempotency"])
+    def test_rejects_an_overflowing_residual(self, p, message):
+        with pytest.raises(InvalidInputError, match=message):
+            model.coherence_block_projector(p)
 
 
 class TestFamilyFacts:

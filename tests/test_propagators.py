@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -610,3 +611,46 @@ class TestMatrixFreeKernel:
         first = analysis.sweep(scen, "compare")
         assert taylor
         assert analysis.sweep(scen, "compare") == first
+
+
+class TestDenseOutput:
+    def test_one_series_per_substep_whatever_the_grid(self, monkeypatch):
+        # The series are taken on the lattice, so a denser grid over the
+        # same horizon takes none more.
+        taylor = counting(monkeypatch, propagators, "_taylor_action")
+        rng = np.random.default_rng(41)
+        scen = rand_scenario(rng, max_dim=8)
+        frame = propagators._frame(scen)
+        substeps = 2.0 * propagators._norm_bound(frame) / propagators._THETA
+        counts = []
+        for points in (12, 200):
+            taylor.clear()
+            list(taylor_states(frame, np.linspace(0.0, 2.0, points)))
+            counts.append(len(taylor))
+        assert substeps >= 3.0
+        assert counts[0] == counts[1]
+        assert abs(counts[0] - math.ceil(substeps)) <= 1
+
+    @pytest.mark.parametrize("name", ["lattice points", "inside substeps", "t = 0",
+                                      "one point", "64 points", "65 points"])
+    def test_matches_the_dense_kernel(self, name):
+        # A bound nu = _THETA 2^e >= ||L|| puts the lattice on the dyadic
+        # times k 2^-e, so "lattice points" fall on it exactly.
+        rng = np.random.default_rng(43)
+        scen = rand_scenario(rng)
+        frame = propagators._frame(scen)
+        theta = propagators._THETA
+        nu = theta * 2.0 ** math.ceil(math.log2(propagators._norm_bound(frame) / theta))
+        tau = theta / nu
+        grid = {
+            "lattice points": tau * np.arange(9),
+            "inside substeps": tau * (np.arange(8) + rng.uniform(0.01, 0.99, 8)),
+            "t = 0": np.zeros(1),
+            "one point": np.array([2.5 * tau]),
+            "64 points": np.linspace(0.0, 5.3 * tau, 64),
+            "65 points": np.linspace(0.0, 5.3 * tau, 65),
+        }[name]
+        walked = np.concatenate(list(propagators._taylor_states(frame, grid, nu)))
+        dense = np.concatenate(list(propagators._ladder_states(frame, grid)))
+        assert walked.shape == dense.shape == (len(grid), scen.dim, scen.dim)
+        assert np.linalg.norm(walked - dense, axis=(-2, -1)).max() <= 1e-12
