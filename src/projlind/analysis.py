@@ -8,7 +8,7 @@ from itertools import repeat
 import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
-from .linalg import HERMITICITY_TOL, _hermitian_part, hermiticity_residual
+from .linalg import VALIDATION_TOL, _hermitian_part, hermiticity_residual
 from .model import Scenario
 from .propagators import _approx_states, _bch_constant, _chunks, _exact_states, _frame
 
@@ -70,8 +70,8 @@ def trace_distance(rho, sigma) -> float | np.ndarray:
     if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"states must share a square shape, got {a.shape} and {b.shape}")
     for name, m in (("rho", a), ("sigma", b)):
-        if not np.all(hermiticity_residual(m) <= HERMITICITY_TOL):
-            raise InvalidInputError(f"{name} is not Hermitian within {HERMITICITY_TOL:g}")
+        if not np.all(hermiticity_residual(m) <= VALIDATION_TOL):
+            raise InvalidInputError(f"{name} is not Hermitian within {VALIDATION_TOL:g}")
     eigs = np.linalg.eigvalsh(_hermitian_part(a) - _hermitian_part(b))
     distance = 0.5 * np.abs(eigs).sum(-1)
     return float(distance) if a.ndim == 2 else distance
@@ -83,10 +83,7 @@ def pauli_decompose(rho) -> PauliDecomposition:
     a = np.asarray(rho, dtype=complex)
     if a.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 two-qubit state, got shape {a.shape}")
-    # An overflowing residual is NaN, which fails the gate.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = hermiticity_residual(a)
-    if not residual <= HERMITICITY_TOL:
+    if not hermiticity_residual(a) <= VALIDATION_TOL:
         raise InvalidInputError("two-qubit state is not Hermitian")
     eye = np.eye(2, dtype=complex)
     p = np.array([np.trace(a @ np.kron(s, eye)).real for s in _SIGMAS])

@@ -54,6 +54,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _in_field(path: str, build, *args):
+    """build(*args), with an InvalidInputError it raises prefixed by ``path``."""
+    try:
+        return build(*args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
+
+
 def _float(x, path: str) -> float:
     try:
         return float(x)
@@ -143,10 +151,7 @@ def _parse_members(doc: dict, n: int, fast: bool) -> list[tuple[np.ndarray, floa
                 raise ConfigError(f"{path}.vectors: expected a non-empty list of vectors")
             # One vector per row.
             vecs = _complex_matrix(vecs_node, f"{path}.vectors", len(vecs_node), n, fast)
-            try:
-                p = projector_from_vectors(vecs)
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"{path}.vectors: {exc}") from exc
+            p = _in_field(f"{path}.vectors", projector_from_vectors, vecs)
         members.append((p, _float(rate, f"{path}.rate")))
     return members
 
@@ -196,22 +201,10 @@ def parse_config(text: str) -> Scenario:
     members = _parse_members(doc, n, fast)
     rho0 = _complex_matrix(doc["initial_state"], "initial_state", n, n, fast)
     grid = _time_grid(doc["time_grid"], "time_grid")
-    try:
-        hamiltonian = Hamiltonian(h)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"hamiltonian: {exc}") from exc
-    try:
-        family = ProjectorFamily(members, dim=n)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"projectors: {exc}") from exc
-    try:
-        state = DensityMatrix(rho0)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"initial_state: {exc}") from exc
-    try:
-        return Scenario(hamiltonian, family, state, grid)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"time_grid: {exc}") from exc
+    hamiltonian = _in_field("hamiltonian", Hamiltonian, h)
+    family = _in_field("projectors", ProjectorFamily, members, n)
+    state = _in_field("initial_state", DensityMatrix, rho0)
+    return _in_field("time_grid", Scenario, hamiltonian, family, state, grid)
 
 
 def load_config(path) -> Scenario:

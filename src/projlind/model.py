@@ -27,21 +27,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, InvalidInputError
-from .linalg import HERMITICITY_TOL, hermiticity_residual
-
-#: Uniform absolute tolerance of the model-type validation gates.
-VALIDATION_TOL = 1e-10
+from .linalg import VALIDATION_TOL, _hermitian_part, hermiticity_residual
 
 # Every gate reads "not residual <= tol", so a NaN residual fails it. Entries
-# near the float limit overflow to such a residual; numpy need not warn
-# about it as well, so the residuals are taken with those warnings off.
+# near the float limit overflow to such a residual; numpy need not warn about
+# it as well, so residuals are taken with those warnings off, as in linalg.
 
 
-def _frozen_complex(m, name: str, square: bool = True) -> np.ndarray:
+def _frozen_complex(m, name: str) -> np.ndarray:
     a = np.array(m, dtype=complex)
-    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains NaN or Inf entries")
     a.setflags(write=False)
     return a
@@ -59,18 +56,17 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = _frozen_complex(self.matrix, "density matrix")
+        residual = hermiticity_residual(a)
+        if not residual <= VALIDATION_TOL:
+            raise InvalidInputError(f"density matrix is not Hermitian (residual {residual:.3e})")
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = hermiticity_residual(a)
-            if not residual <= VALIDATION_TOL:
-                raise InvalidInputError(
-                    f"density matrix is not Hermitian (residual {residual:.3e})")
             tr = np.trace(a)
             if not abs(tr - 1.0) <= VALIDATION_TOL:
                 raise InvalidInputError(f"density matrix trace is {tr:.12g}, expected 1")
-            min_eig = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+            min_eig = float(np.linalg.eigvalsh(_hermitian_part(a))[0])
         if not min_eig >= -VALIDATION_TOL:
-            raise InvalidInputError(
-                f"density matrix has negative eigenvalue {min_eig:.3e}")
+            kind = "negative" if np.isfinite(min_eig) else "non-finite"
+            raise InvalidInputError(f"density matrix has {kind} eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "matrix", a)
 
     @property
@@ -86,9 +82,8 @@ class Hamiltonian:
 
     def __post_init__(self):
         a = _frozen_complex(self.matrix, "Hamiltonian")
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = hermiticity_residual(a)
-        if not residual <= HERMITICITY_TOL:
+        residual = hermiticity_residual(a)
+        if not residual <= VALIDATION_TOL:
             raise InvalidInputError(f"Hamiltonian is not Hermitian (residual {residual:.3e})")
         object.__setattr__(self, "matrix", a)
 
@@ -276,10 +271,10 @@ def projector_from_vectors(vectors) -> np.ndarray:
 
 def _check_projector(p, name: str = "input") -> np.ndarray:
     a = _frozen_complex(p, name)
+    herm = hermiticity_residual(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        herm = hermiticity_residual(a)
         idem = np.linalg.norm(a @ a - a)
-    if not herm <= HERMITICITY_TOL:
+    if not herm <= VALIDATION_TOL:
         raise InvalidInputError(f"{name} is not Hermitian (residual {herm:.3e})")
     if not idem <= VALIDATION_TOL:
         raise InvalidInputError(f"{name} is not idempotent (residual {idem:.3e})")

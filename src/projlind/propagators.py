@@ -80,20 +80,21 @@ L preserves the trace, the row and column of 1/sqrt(n) are zero, and the
 rest is a real (n^2 - 1)-square matrix M: skew-symmetric from the
 commutator minus the non-negative diagonal G_jk of the off-diagonal
 elements, so exp(hM) is a contraction. M is built once per scenario, in
-O(n^5), and the coordinates x of X0 are walked along the grid by one
+O(n^5), by applying L to the basis; it is L in an orthonormal basis, so
+||M||_2 <= nu. The coordinates x of X0 are walked along the grid by one
 ladder of squarings. Its base beta is the first positive step scaled by a
-power of two to 1/2 <= ||beta M||_1 < 1; E_0 = exp(beta M) is the
-scenario's one Pade exponential, through :func:`projlind.linalg.matexp`,
-and E_{j+1} = E_j E_j is squared only as far as the largest step needs.
-(A base far below 1/||M||_1 would carry the rounding of E_0 through more
+power of two to 1/2 <= beta nu < 1; E_0 = exp(beta M) is the scenario's
+one Pade exponential, through :func:`projlind.linalg.matexp`, and
+E_{j+1} = E_j E_j is squared only as far as the largest step needs.
+(A base far below 1/nu would carry the rounding of E_0 through more
 squarings than the steps need.) A step h = m beta + delta,
 0 <= delta < beta, applies E_j for each set bit of m and then
-exp(delta M) x by a truncated Taylor series, matrix-vector products only;
-a remainder equal to the previous step's takes exp(delta M) once and
-reuses it. A grid that is uniform up to the rounding of its points, with a
-step of at least 1/(2 ||M||_1), takes no remainder, so it costs one
-exponential and the squarings up to its step; a finer uniform grid takes
-one Taylor action and one exponential of its step. Each state
+exp(delta M) x by a Taylor series of bound delta nu < 1, matrix-vector
+products only; a remainder equal to the previous step's takes
+exp(delta M) once and reuses it. A grid that is uniform up to the rounding
+of its points, with a step of at least 1/(2 nu), takes no remainder, so it
+costs one exponential and the squarings up to its step; a finer uniform
+grid takes one Taylor action and one exponential of its step. Each state
 1/n + sum_k x_k F_k is Hermitian by construction and has trace 1 to
 rounding, however stiff t L is. Its cost, O(n^6) for the Pade exponential
 and the squarings, hardly depends on the grid.
@@ -111,9 +112,9 @@ even. The rule reads only the scenario and its grid, never a clock, so a
 run repeats to the bit. A 12-point grid
 with t nu near 15 goes matrix-free from n = 12 up, which reaches n = 64;
 a grid with t nu in the thousands stays dense below n = 59.
-Both kernels share the Taylor stopping rule of
-:func:`projlind.linalg._taylor_action`. The unstructured route
-exp(t (A + B)) is an oracle in the test suite.
+Both kernels share one applicator of L, the bound nu and the Taylor
+stopping rule of :func:`projlind.linalg._taylor_action`. The unstructured
+route exp(t (A + B)) is an oracle in the test suite.
 
 The closed form takes one eigendecomposition of H' per time point. Both
 paths work on chunks of at most _CHUNK consecutive times and yield one
@@ -282,7 +283,7 @@ def _exact_states(frame: _Frame, times):
     nu = _norm_bound(frame)
     if 17.0 * (float(times[-1]) * nu + len(times)) <= frame.v.shape[0] ** 3 / 3.0:
         return _taylor_states(frame, times, nu)
-    return _ladder_states(frame, times)
+    return _ladder_states(frame, times, nu)
 
 
 def _norm_bound(frame: _Frame) -> float:
@@ -291,22 +292,34 @@ def _norm_bound(frame: _Frame) -> float:
     return float(w[-1] - w[0] + frame.g.max())
 
 
+def _generator(frame: _Frame):
+    """X -> L(X) = Z + Z^dag - G o X, Z = -i H' X, for Hermitian X or a stack
+    of them; each L(X) is exactly Hermitian."""
+    mih = -1j * _hermitian_part(frame.h)
+    # Complex, so the Schur product takes no mixed-type loop; same values.
+    g = frame.g.astype(complex)
+
+    def apply(x):
+        z = mih @ x
+        z += z.conj().swapaxes(-1, -2)
+        z -= g * x
+        return z
+
+    return apply
+
+
 def _taylor_states(frame: _Frame, times, nu: float):
     """Yield the exact states in the frame at the ascending non-negative
     ``times``, one (b, n, n) stack per chunk, by matrix-free Taylor series on
     the lattice of substeps tau = _THETA / nu, for a bound ``nu`` >= ||L||;
     a time inside a substep weights the terms of the series taken there."""
     n = frame.h.shape[0]
-    mih = -1j * _hermitian_part(frame.h)
-    # Complex, so the Schur product takes no mixed-type loop; same values.
-    g = frame.g.astype(complex)
+    gen = _generator(frame)
     tau = _THETA / nu if nu > 0.0 else 0.0
 
     def step(y, k):
         # (tau/k) L(y), exactly Hermitian for Hermitian y.
-        z = mih @ y
-        z += z.conj().T
-        z -= g * y
+        z = gen(y)
         z *= tau / k
         return z
 
@@ -336,16 +349,15 @@ def _taylor_states(frame: _Frame, times, nu: float):
         yield np.array(states)
 
 
-def _ladder_states(frame: _Frame, times):
+def _ladder_states(frame: _Frame, times, nu: float):
     """Yield the exact states in the frame at the ascending non-negative
     ``times``, one (b, n, n) stack per chunk, walking the real generator M
-    of the module docstring along them by its ladder of squarings."""
+    of the module docstring along them by its ladder of squarings, for a
+    bound ``nu`` >= ||M||_2 that sets its base and its remainders' series."""
     n = frame.v.shape[0]
-    h = frame.h
     q, pairs = _traceless_basis(n)
     basis = _traceless(np.eye(n * n - 1), q, pairs)
-    gen = _coordinates(-1j * (h @ basis - basis @ h) - frame.g * basis, q, pairs).T
-    norm = np.linalg.norm(gen, 1)
+    gen = _coordinates(_generator(frame)(basis), q, pairs).T
     x = _coordinates(frame.x0, q, pairs)
     eps = np.finfo(float).eps
     prev, beta, ladder = 0.0, None, []
@@ -356,8 +368,8 @@ def _ladder_states(frame: _Frame, times):
             dt = t - prev
             if dt > 0.0:
                 if beta is None:
-                    # dt ||M||_1 = f 2^e with 1/2 <= f < 1, so ||beta M||_1 = f.
-                    beta = math.ldexp(dt, -math.frexp(dt * norm)[1])
+                    # dt nu = f 2^e with 1/2 <= f < 1, so beta nu = f.
+                    beta = math.ldexp(dt, -math.frexp(dt * nu)[1])
                 m, delta = divmod(dt, beta)
                 # Grid spacing is uniform up to the rounding of the grid
                 # points: a remainder that close to beta or to 0 is
@@ -383,7 +395,7 @@ def _ladder_states(frame: _Frame, times):
                     else:
                         rem, rem_prop = delta, None
                         x = sum(_taylor_action(lambda y, k: (delta / k) * (gen @ y),
-                                               delta * norm, x))
+                                               delta * nu, x))
             prev = t
             coords.append(x)
         yield _traceless(np.array(coords), q, pairs) + np.eye(n) / n

@@ -268,7 +268,7 @@ def test_c11_cli_end_to_end(tmp_path):
         cfg.write_text(presets.preset_text(name))
         out = tmp_path / f"{name}.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "projlind", "run",
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "projlind", "run",
              "--config", str(cfg), "--mode", "compare", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -290,7 +290,7 @@ def test_c11_cli_end_to_end(tmp_path):
     cfg = tmp_path / "non_orthogonal.json"
     cfg.write_text(json.dumps(bad))
     proc = subprocess.run(
-        [sys.executable, "-m", "projlind", "run",
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "projlind", "run",
          "--config", str(cfg), "--mode", "compare", "--out", str(tmp_path / "bad.csv")],
         capture_output=True, text=True)
     assert proc.returncode == 1

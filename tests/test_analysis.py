@@ -105,6 +105,17 @@ class TestTraceDistance:
         with pytest.raises(DimensionError):
             analysis.trace_distance(np.zeros(shapes[0]), np.zeros(shapes[1]))
 
+    # A norm that overflows makes a NaN or infinite residual, which the gate
+    # reads without a numpy warning, on a stack as on one matrix.
+    def test_stack_rejects_an_overflowing_non_hermitian_member(self):
+        b = np.stack([np.array([[0.0, 1e200], [0.0, 0.0]])] * 2)
+        with pytest.raises(InvalidInputError, match="^rho is not Hermitian"):
+            analysis.trace_distance(b, b)
+
+    def test_stack_of_overflowing_hermitian_members(self):
+        b = np.stack([np.array([[0.0, 1e200], [1e200, 0.0]])] * 2)
+        assert analysis.trace_distance(b, b).tolist() == [0.0, 0.0]
+
     def test_square_input_gives_a_float(self):
         rng = np.random.default_rng(41)
         assert type(analysis.trace_distance(rand_density(3, rng), rand_density(3, rng))) \

@@ -1,4 +1,5 @@
-"""Every narrative script in ``demos/`` runs to completion."""
+"""Every narrative script in ``demos/`` runs to completion, with a numpy
+RuntimeWarning an error as in the test suite."""
 
 import os
 import pathlib
@@ -16,6 +17,6 @@ def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -160,12 +160,17 @@ def taylor_states(frame, times):
     return propagators._taylor_states(frame, times, propagators._norm_bound(frame))
 
 
+def ladder_states(frame, times):
+    """The dense exact kernel, whatever the cost rule would pick."""
+    return propagators._ladder_states(frame, times, propagators._norm_bound(frame))
+
+
 class TestExactWalk:
     @pytest.mark.parametrize("stop, count", [(2.0, 12), (500.0, 400)])
     def test_uniform_grid_takes_one_exponential(self, monkeypatch, stop, count):
-        # The step is 2^K beta up to the rounding of the grid points, so no
-        # step leaves a Taylor remainder: a step just short of 2^K beta is
-        # not (2^K - 1) beta plus a remainder of almost beta.
+        # Steps of dt nu >= 1/2 are 2^K beta up to the rounding of the grid
+        # points, so no step leaves a Taylor remainder: a step just short of
+        # 2^K beta is not (2^K - 1) beta plus a remainder of almost beta.
         pade = counting(monkeypatch, linalg, "_pade_expm")
         taylor = counting(monkeypatch, propagators, "_taylor_action")
         rng = np.random.default_rng(3)
@@ -179,7 +184,7 @@ class TestExactWalk:
 
     @pytest.mark.parametrize("start, pades", [(0.0, 1), (0.5, 2)])
     def test_repeated_remainder_takes_one_exponential(self, monkeypatch, start, pades):
-        # Steps of dt ||M||_1 < 1/2 all leave the same remainder below beta:
+        # Steps of dt nu < 1/2 all leave the same remainder below beta:
         # the first takes a Taylor action, the rest one exponential of the
         # step. From an offset start the first step also builds the ladder.
         pade = counting(monkeypatch, linalg, "_pade_expm")
@@ -211,7 +216,7 @@ class TestExactWalk:
         rng = np.random.default_rng(23)
         scen = rand_scenario(rng)
         frame = propagators._frame(scen)
-        for states in (propagators._ladder_states, taylor_states, propagators._approx_states):
+        for states in (ladder_states, taylor_states, propagators._approx_states):
             read.clear()
             first = next(states(frame, times()))
             assert len(read) == propagators._CHUNK
@@ -228,6 +233,43 @@ class TestExactWalk:
                               np.geomspace(1e-2, 500.0, 16))
         assert len(analysis.sweep(scen, "compare")) == 16
         assert len(pade) == 1
+
+    def test_ladder_takes_one_bound(self, monkeypatch):
+        # nu >= ||M||_2 sets the ladder's base and bounds every remainder's
+        # Taylor series; each step of a log grid leaves a remainder.
+        pade = counting(monkeypatch, linalg, "_pade_expm")
+        # Each call's bound, first term S x and x, recorded at the call: the
+        # step reads the walk's current remainder whenever it is applied.
+        taylor = []
+        action = propagators._taylor_action
+
+        def recorded(step, bound, x):
+            taylor.append((bound, step(x, 1), x))
+            return action(step, bound, x)
+
+        monkeypatch.setattr(propagators, "_taylor_action", recorded)
+        rng = np.random.default_rng(19)
+        scen = rand_scenario(rng)
+        frame = propagators._frame(scen)
+        nu = propagators._norm_bound(frame)
+        list(propagators._exact_states(frame, np.geomspace(1e-2, 500.0, 16)))
+        # M from the commutator form of L.
+        n, h = scen.dim, frame.h
+        q, pairs = propagators._traceless_basis(n)
+        basis = propagators._traceless(np.eye(n * n - 1), q, pairs)
+        gen = propagators._coordinates(-1j * (h @ basis - basis @ h) - frame.g * basis,
+                                       q, pairs).T
+        assert np.linalg.norm(gen, 2) <= nu
+        [(a,)] = pade
+        beta = np.vdot(gen, a) / np.vdot(gen, gen)
+        assert np.linalg.norm(a - beta * gen) <= 1e-14 * np.linalg.norm(a)
+        assert 0.5 <= beta * nu < 1.0
+        assert taylor
+        for bound, sx, x in taylor:
+            assert 0.0 < bound < 1.0
+            delta = bound / nu
+            assert (np.linalg.norm(sx - delta * (gen @ x))
+                    <= 1e-14 * delta * np.linalg.norm(gen) * np.linalg.norm(x))
 
     @pytest.mark.parametrize("grid, scale", [
         (np.geomspace(1e-2, 500.0, 16), 1.0),
@@ -535,7 +577,7 @@ class TestMatrixFreeKernel:
             grid = np.linspace(0.0, float(rng.uniform(0.1, 3.0)), int(rng.integers(1, 9)))
             scen = make_scenario(h, members, rand_density(n, rng), grid, dim=n)
             frame = propagators._frame(scen)
-            dense = np.concatenate(list(propagators._ladder_states(frame, grid)))
+            dense = np.concatenate(list(ladder_states(frame, grid)))
             walked = np.concatenate(list(taylor_states(frame, grid)))
             assert np.linalg.norm(walked - dense, axis=(-2, -1)).max() <= 1e-12
         assert taylor
@@ -651,6 +693,6 @@ class TestDenseOutput:
             "65 points": np.linspace(0.0, 5.3 * tau, 65),
         }[name]
         walked = np.concatenate(list(propagators._taylor_states(frame, grid, nu)))
-        dense = np.concatenate(list(propagators._ladder_states(frame, grid)))
+        dense = np.concatenate(list(propagators._ladder_states(frame, grid, nu)))
         assert walked.shape == dense.shape == (len(grid), scen.dim, scen.dim)
         assert np.linalg.norm(walked - dense, axis=(-2, -1)).max() <= 1e-12

@@ -1,6 +1,6 @@
 """The package needs numpy and nothing else outside the standard library at
 run time: importing it and running the CLI in every mode loads no other
-third-party module."""
+third-party module. A numpy RuntimeWarning is an error, as in the test suite."""
 
 import os
 import pathlib
@@ -31,8 +31,8 @@ def test_runtime_imports_only_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", SCRIPT],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1].split()
     assert last[0] == "third-party:"
