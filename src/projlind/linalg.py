@@ -106,10 +106,10 @@ def _taylor_action(step, nu: float, x) -> list:
     the unit roundoff, which bounds the relative truncation error (Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33 (2011)); at nu = 1 that is degree 18, at
     nu = 3 degree 28, and nu = 0 returns x alone. Each term costs one call of
-    ``step``: a matrix-vector product for the dense exact kernel's
-    remainders, which sum the terms, or one n x n product for the
-    matrix-free kernel in :mod:`projlind.propagators`, which also weights
-    them for the grid points inside its substep.
+    ``step``: a matrix-vector product for the dense exact kernel, or one
+    n x n product for the matrix-free kernel in :mod:`projlind.propagators`.
+    Both sum the terms to cross a cell of their lattice and weight them for
+    the grid points inside it.
     """
     half_u = np.finfo(float).eps / 4.0
     terms = [x]

@@ -33,7 +33,18 @@ whose square root is computed once per scenario. Neither forms an
 n^2 x n^2 array.
 
 The exact generator in the frame, L(X) = -i (H'X - XH') - G o X, preserves
-Hermiticity and the trace, and it has two kernels.
+Hermiticity and the trace, and it has two kernels. Both walk the grid
+on one lattice of points j tau, each with its own step tau. At the
+lattice point x_j a kernel takes the terms T_k = (tau L)^k x_j / k! of
+one truncated Taylor series, by the stopping rule of
+:func:`projlind.linalg._taylor_action`, once for all the grid times
+inside the cell. A grid time t = (j + sigma) tau, 0 <= sigma < 1, gets the
+dense output sum_k sigma^k T_k, the series of exp(sigma tau L) x_j, whose
+truncation bound (sigma tau nu)^(k+1) / (k+1)! is no larger than the
+cell's. A cell whose series is taken is crossed by its sum; the walk
+crosses any other m cells by the kernel's own advance. A time within
+8 eps s of a lattice point, s = t / tau and eps = 2^-52, is that point:
+the rest is the rounding of the grid's points, not time.
 
 The matrix-free kernel applies L to the n x n frame state, one n x n
 product per application: with Z = -i tau H' T,
@@ -41,8 +52,8 @@ product per application: with Z = -i tau H' T,
     tau L(T) = Z + Z^dag - (tau G) o T
 
 for Hermitian T, and each such sum is exactly Hermitian, so every state
-walked from the Hermitian part of X0 is Hermitian to the last bit. It
-walks a fixed lattice of substeps tau = _THETA / nu, _THETA = 3, where
+walked from the Hermitian part of X0 is Hermitian to the last bit. Its
+lattice is a fixed one of substeps tau = _THETA / nu, _THETA = 3, where
 
     nu = (w_max - w_min) + max G,   w the eigenvalues of H',
 
@@ -52,16 +63,11 @@ so it is normal with spectral radius w_max - w_min, and the decay part
 multiplies the (a, b) element by -G_ab, so its norm is max G; the
 triangle inequality adds them. nu costs one eigvalsh of H' per scenario,
 and nu = 0 (n = 1, or H' a multiple of 1 with no decay) takes no series.
-At the lattice point X_j the kernel takes the terms
-T_k = (tau L)^k X_j / k! of one truncated Taylor series, up to degree 28
-by the stopping rule of :func:`projlind.linalg._taylor_action` at
-tau nu = 3, and X_{j+1} = sum_k T_k. A grid time t = (j + sigma) tau,
-0 <= sigma < 1, gets the dense output sum_k sigma^k T_k, the series of
-exp(sigma tau L) X_j, whose truncation bound (3 sigma)^(k+1) / (k+1)! is
-no larger. Its weights are real, so it is as Hermitian as the terms.
-Up to time t the kernel takes ceil(t nu / 3) series whatever the number
-of grid points: about 9.3 t nu n x n products, plus one weighted sum per
-point.
+Each series goes up to degree 28 at tau nu = 3, and the kernel advances
+a cell by summing one. The dense output's weights are real, so it is as
+Hermitian as the terms. Up to time t the kernel takes ceil(t nu / 3)
+series whatever the number of grid points: about 9.3 t nu n x n
+products, plus one weighted sum per point.
 
 The terms' norms sum to at most e^3 ||X_j||, so one substep rounds by
 about c n u e^3 ||X_j||, u the unit roundoff, and the weights sigma^k <= 1
@@ -81,23 +87,25 @@ rest is a real (n^2 - 1)-square matrix M: skew-symmetric from the
 commutator minus the non-negative diagonal G_jk of the off-diagonal
 elements, so exp(hM) is a contraction. M is built once per scenario, in
 O(n^5), by applying L to the basis; it is L in an orthonormal basis, so
-||M||_2 <= nu. The coordinates x of X0 are walked along the grid by one
-ladder of squarings. Its base beta is the first positive step scaled by a
-power of two to 1/2 <= beta nu < 1; E_0 = exp(beta M) is the scenario's
-one Pade exponential, through :func:`projlind.linalg.matexp`, and
-E_{j+1} = E_j E_j is squared only as far as the largest step needs.
-(A base far below 1/nu would carry the rounding of E_0 through more
-squarings than the steps need.) A step h = m beta + delta,
-0 <= delta < beta, applies E_j for each set bit of m and then
-exp(delta M) x by a Taylor series of bound delta nu < 1, matrix-vector
-products only; a remainder equal to the previous step's takes
-exp(delta M) once and reuses it. A grid that is uniform up to the rounding
-of its points, with a step of at least 1/(2 nu), takes no remainder, so it
-costs one exponential and the squarings up to its step; a finer uniform
-grid takes one Taylor action and one exponential of its step. Each state
+||M||_2 <= nu. The coordinates x of X0 are walked on the lattice of its
+base beta: the first positive grid time scaled by a power of two to
+1/2 <= beta nu < 1. (A base far below 1/nu would carry the rounding of
+E_0 through more squarings than the walk needs.) An advance of m cells
+applies E_j for each set bit of m, on one ladder of squarings:
+E_0 = exp(beta M) is the scenario's one Pade exponential, through
+:func:`projlind.linalg.matexp`, and E_{j+1} = E_j E_j is squared only as
+far as the largest advance needs. A cell's series has the bound
+beta nu < 1, at most degree 18, and takes matrix-vector products only.
+Every point of a uniform grid from 0 with a step of at least 1/(2 nu) is
+a lattice point, so such a grid takes no series and costs the
+exponential and the squarings up to its step; a finer one takes a series
+for each cell that holds one of its points. Each state
 1/n + sum_k x_k F_k is Hermitian by construction and has trace 1 to
-rounding, however stiff t L is. Its cost, O(n^6) for the Pade exponential
-and the squarings, hardly depends on the grid.
+rounding, however stiff t L is. Its cost, O(n^6) for the Pade
+exponential and the squarings, hardly depends on the grid. An advance
+whose squarings overflow, as when t ||H|| is so far beyond 1/u that they
+amplify nothing but rounding, raises an error that gives the t nu it
+spans instead of yielding non-finite states.
 
 A scenario's exact states come from the matrix-free kernel when
 
@@ -112,8 +120,8 @@ even. The rule reads only the scenario and its grid, never a clock, so a
 run repeats to the bit. A 12-point grid
 with t nu near 15 goes matrix-free from n = 12 up, which reaches n = 64;
 a grid with t nu in the thousands stays dense below n = 59.
-Both kernels share one applicator of L, the bound nu and the Taylor
-stopping rule of :func:`projlind.linalg._taylor_action`. The unstructured
+Both kernels share one applicator of L, the bound nu, the Taylor
+stopping rule and the lattice walk with its dense output. The unstructured
 route exp(t (A + B)) is an oracle in the test suite.
 
 The closed form takes one eigendecomposition of H' per time point. Both
@@ -168,8 +176,9 @@ def _frame(scenario: Scenario) -> _Frame:
     w, v = np.linalg.eigh(weights)
     labels = np.rint(w).astype(int)
     rates = np.array((0.0,) + family.rates)[labels]
+    # Halved before the sum, so rates near the float range cannot overflow.
     g = np.where(labels[:, None] == labels[None, :], 0.0,
-                 (rates[:, None] + rates[None, :]) / 2.0)
+                 rates[:, None] / 2.0 + rates[None, :] / 2.0)
     vh = v.conj().T
     return _Frame(v, g, vh @ scenario.hamiltonian.matrix @ v,
                   vh @ scenario.initial_state.matrix @ v)
@@ -223,10 +232,15 @@ def bch_error_indicator(scenario: Scenario, t) -> float:
 
 def _bch_constant(frame: _Frame) -> float:
     """||[A, B]||_F = sqrt(2 sum_{a,c} |H'_ac|^2 D_ac), independent of t."""
+    # |H'| and G scaled by powers of two to at most 1, so no square
+    # overflows and no digit changes; only the result may overflow, to inf.
+    eh, eg = np.frexp(np.abs(frame.h).max())[1], np.frexp(frame.g.max())[1]
+    h, g = np.ldexp(np.abs(frame.h), -eh), np.ldexp(frame.g, -eg)
     # Direct differences: equal-label columns give D = 0 exactly, where an
     # expansion into squares would leave cancellation noise.
-    d = ((frame.g[:, :, None] - frame.g[:, None, :]) ** 2).sum(0)
-    return float(np.sqrt(2.0 * np.sum(np.abs(frame.h) ** 2 * d)))
+    d = ((g[:, :, None] - g[:, None, :]) ** 2).sum(0)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sqrt(2.0 * np.sum(h ** 2 * d)), eh + eg))
 
 
 def _chunks(times):
@@ -308,14 +322,52 @@ def _generator(frame: _Frame):
     return apply
 
 
+def _lattice_walk(x, times, lattice):
+    """Yield the states at the ascending non-negative ``times``, one stack
+    per chunk, walking the state ``x`` from t = 0 along a lattice of points
+    j tau.
+
+    ``lattice(t)``, called at the first positive time t, returns tau and
+    two functions: ``series(y)``, the stacked terms of the Taylor series of
+    exp(tau L) y, and ``advance(y, m)``, the state m lattice points on. A
+    time inside a cell weights the terms of the cell's series, taken once;
+    a cell whose series is taken is crossed by its sum.
+    """
+    eps = np.finfo(float).eps
+    tau, j, terms = None, 0, None
+    for chunk in _chunks(times):
+        states = []
+        for t in chunk:
+            if tau is None and t > 0.0:
+                tau, series, advance = lattice(t)
+            # t = (i + sigma) tau with 0 <= sigma < 1. A time within
+            # 8 eps s of a lattice point is that point: the rest is the
+            # rounding of the grid, not time.
+            s = float(t) / tau if tau else 0.0
+            i, sigma = round(s), 0.0
+            if abs(s - i) > 8.0 * eps * s:
+                i, sigma = math.floor(s), s - math.floor(s)
+            if i > j:
+                if terms is not None:
+                    x, j = terms.sum(0), j + 1
+                x, j, terms = advance(x, i - j), i, None
+            if sigma > 0.0:
+                if terms is None:
+                    terms = series(x)
+                weights = sigma ** np.arange(len(terms))
+                states.append((weights @ terms.reshape(len(terms), -1)).reshape(x.shape))
+            else:
+                states.append(x)
+        yield np.array(states)
+
+
 def _taylor_states(frame: _Frame, times, nu: float):
     """Yield the exact states in the frame at the ascending non-negative
     ``times``, one (b, n, n) stack per chunk, by matrix-free Taylor series on
-    the lattice of substeps tau = _THETA / nu, for a bound ``nu`` >= ||L||;
-    a time inside a substep weights the terms of the series taken there."""
-    n = frame.h.shape[0]
+    the lattice of substeps tau = _THETA / nu, for a bound ``nu`` >= ||L||."""
     gen = _generator(frame)
-    tau = _THETA / nu if nu > 0.0 else 0.0
+    # nu = 0 puts every time on the lattice point 0.
+    tau = _THETA / nu if nu > 0.0 else math.inf
 
     def step(y, k):
         # (tau/k) L(y), exactly Hermitian for Hermitian y.
@@ -324,78 +376,50 @@ def _taylor_states(frame: _Frame, times, nu: float):
         return z
 
     def series(y):
-        # The terms as the rows of one matrix: a time inside the substep
-        # takes their weighted sum as one product.
-        return np.array(_taylor_action(step, _THETA, y)).reshape(-1, n * n)
+        return np.array(_taylor_action(step, _THETA, y))
 
-    # x is the state at the lattice point j tau; terms, once taken, its series.
-    x, j, terms = _hermitian_part(frame.x0), 0, None
-    for chunk in _chunks(times):
-        states = []
-        for t in chunk:
-            # t = (i + sigma) tau with 0 <= sigma < 1.
-            s = t * nu / _THETA
-            i = math.floor(s)
-            sigma = s - i
-            while j < i:
-                x = (series(x) if terms is None else terms).sum(0).reshape(n, n)
-                j, terms = j + 1, None
-            if sigma > 0.0:
-                if terms is None:
-                    terms = series(x)
-                states.append((sigma ** np.arange(len(terms)) @ terms).reshape(n, n))
-            else:
-                states.append(x)
-        yield np.array(states)
+    def advance(y, m):
+        for _ in range(m):
+            y = series(y).sum(0)
+        return y
+
+    yield from _lattice_walk(_hermitian_part(frame.x0), times, lambda t: (tau, series, advance))
 
 
 def _ladder_states(frame: _Frame, times, nu: float):
     """Yield the exact states in the frame at the ascending non-negative
-    ``times``, one (b, n, n) stack per chunk, walking the real generator M
-    of the module docstring along them by its ladder of squarings, for a
-    bound ``nu`` >= ||M||_2 that sets its base and its remainders' series."""
+    ``times``, one (b, n, n) stack per chunk, walking the coordinates under
+    the real generator M of the module docstring on the lattice of its base
+    beta, for a bound ``nu`` >= ||M||_2 that sets beta and the series' bound."""
     n = frame.v.shape[0]
     q, pairs = _traceless_basis(n)
     basis = _traceless(np.eye(n * n - 1), q, pairs)
     gen = _coordinates(_generator(frame)(basis), q, pairs).T
-    x = _coordinates(frame.x0, q, pairs)
-    eps = np.finfo(float).eps
-    prev, beta, ladder = 0.0, None, []
-    rem, rem_prop = None, None
-    for chunk in _chunks(times):
-        coords = []
-        for t in chunk:
-            dt = t - prev
-            if dt > 0.0:
-                if beta is None:
-                    # dt nu = f 2^e with 1/2 <= f < 1, so beta nu = f.
-                    beta = math.ldexp(dt, -math.frexp(dt * nu)[1])
-                m, delta = divmod(dt, beta)
-                # Grid spacing is uniform up to the rounding of the grid
-                # points: a remainder that close to beta or to 0 is
-                # rounding, not time.
-                if beta - delta <= 8.0 * eps * t:
-                    m, delta = m + 1.0, 0.0
-                elif delta <= 8.0 * eps * t:
-                    delta = 0.0
-                m = int(m)
-                for j in range(m.bit_length()):
-                    if j == len(ladder):
-                        ladder.append(ladder[-1] @ ladder[-1] if ladder
-                                      else matexp(beta * gen))
-                    if m >> j & 1:
-                        x = ladder[j] @ x
-                if delta > 0.0:
-                    # A remainder that repeats the previous one, as every
-                    # step of a fine uniform grid does, takes one exponential.
-                    if rem is not None and abs(delta - rem) <= 8.0 * eps * t:
-                        if rem_prop is None:
-                            rem_prop = matexp(rem * gen)
-                        x = rem_prop @ x
-                    else:
-                        rem, rem_prop = delta, None
-                        x = sum(_taylor_action(lambda y, k: (delta / k) * (gen @ y),
-                                               delta * nu, x))
-            prev = t
-            coords.append(x)
-        yield _traceless(np.array(coords), q, pairs) + np.eye(n) / n
+
+    def lattice(t):
+        # t nu = f 2^e with 1/2 <= f < 1, so beta nu = f. E_0 = exp(beta M)
+        # is the scenario's one Pade exponential.
+        beta = math.ldexp(t, -math.frexp(t * nu)[1])
+        ladder = [matexp(beta * gen)]
+
+        def series(y):
+            return np.array(_taylor_action(lambda z, k: (beta / k) * (gen @ z), beta * nu, y))
+
+        def advance(y, m):
+            # E_{j+1} = E_j E_j, squared only as far as m needs; a squaring
+            # that overflows is reported, not walked on.
+            for j in range(m.bit_length()):
+                if j == len(ladder):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        ladder.append(ladder[-1] @ ladder[-1])
+                    if not np.isfinite(ladder[-1]).all():
+                        raise FloatingPointError(
+                            f"exact propagator overflows at t nu = {m * beta * nu:.3g}")
+                if m >> j & 1:
+                    y = ladder[j] @ y
+            return y
+
+        return beta, series, advance
+
+    for coords in _lattice_walk(_coordinates(frame.x0, q, pairs), times, lattice):
+        yield _traceless(coords, q, pairs) + np.eye(n) / n

@@ -1,10 +1,11 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from projlind import cli, config, presets
+from projlind import analysis, cli, config, presets, propagators
 from projlind.model import DensityMatrix, Hamiltonian, ProjectorFamily, Scenario
 
 NON_ORTHOGONAL = {
@@ -266,6 +267,74 @@ class TestNanResidual:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "idempotency residual nan" in err
+        assert not out.exists()
+
+
+def driven_qubit_with(tmp_path, hamiltonian=None, rate=None):
+    """The driven-qubit preset with its Hamiltonian or its projector's rate
+    replaced."""
+    doc = json.loads(presets.preset_text("driven-qubit"))
+    if hamiltonian is not None:
+        doc["hamiltonian"] = hamiltonian
+    if rate is not None:
+        doc["projectors"][0]["rate"] = rate
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+HUGE_H = [[[0.0, 0.0], [1e200, 0.0]], [[1e200, 0.0], [0.0, 0.0]]]
+
+#: Columns each mode computes; the rest are nan.
+COMPUTED = {
+    "compare": set(cli.CSV_COLUMNS),
+    "exact-only": {"time", "exact_trace_re", "exact_trace_im", "bch_indicator"},
+    "approx-only": {"time", "approx_trace_re", "approx_trace_im", "approx_min_eig",
+                    "bch_indicator"},
+}
+
+
+def finite_report(path, mode):
+    """The rows of the report at ``path``, after checking that every column
+    that ``mode`` computes is finite in every row and no other one is."""
+    header, *rows = read_csv(path)
+    assert rows
+    for row in rows:
+        for col, value in zip(header, row):
+            assert math.isfinite(float(value)) == (col in COMPUTED[mode]), (col, value)
+    return rows
+
+
+class TestExtremeValidConfigs:
+    # Valid configs near the float range give a finite report or an error
+    # that names the overflow; the suite's warning policy makes any numpy
+    # overflow warning a failure of the run instead.
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_rate_near_the_float_range_gives_a_finite_report(self, tmp_path, mode):
+        out = tmp_path / "report.csv"
+        cfg = driven_qubit_with(tmp_path, rate=1e308)
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        assert len(finite_report(out, mode)) == 4
+
+    def test_huge_hamiltonian_gives_a_finite_closed_form(self, tmp_path):
+        out = tmp_path / "report.csv"
+        cfg = driven_qubit_with(tmp_path, hamiltonian=HUGE_H)
+        assert cli.main(["run", "--config", str(cfg), "--mode", "approx-only",
+                         "--out", str(out)]) == 0
+        rows = finite_report(out, "approx-only")
+        # (t^2/2) ||[A, B]||_F scales with ||H||: 1e200 times the preset's.
+        preset = propagators.bch_error_indicator(presets.preset_scenario("driven-qubit"), 0.025)
+        assert float(rows[0][-1]) == pytest.approx(1e200 * preset, rel=1e-14)
+
+    @pytest.mark.parametrize("mode", ["compare", "exact-only"])
+    def test_huge_hamiltonian_names_the_exact_overflow(self, tmp_path, capsys, mode):
+        # t ||H|| near 1e198 leaves the ladder's squarings nothing but
+        # rounding, which they square until it overflows.
+        out = tmp_path / "report.csv"
+        cfg = driven_qubit_with(tmp_path, hamiltonian=HUGE_H)
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: propagation failed: exact propagator overflows at t nu = ")
         assert not out.exists()
 
 

@@ -110,6 +110,11 @@ class TestExactPropagate:
             twice = propagators.exact_propagate(scen2, t2)
             assert np.linalg.norm(once - twice) <= 1e-10
 
+    def test_long_horizon_reaches_the_stationary_state(self):
+        # t nu near 2.5e17: the driven, dephased qubit has forgotten rho0.
+        out = propagators.exact_propagate(DRIVEN, 1e17)
+        assert np.linalg.norm(out - np.eye(2) / 2) <= 1e-12
+
     def test_rejects_negative_time(self):
         with pytest.raises(InvalidInputError):
             propagators.exact_propagate(DEPHASING, -0.1)
@@ -168,9 +173,9 @@ def ladder_states(frame, times):
 class TestExactWalk:
     @pytest.mark.parametrize("stop, count", [(2.0, 12), (500.0, 400)])
     def test_uniform_grid_takes_one_exponential(self, monkeypatch, stop, count):
-        # Steps of dt nu >= 1/2 are 2^K beta up to the rounding of the grid
-        # points, so no step leaves a Taylor remainder: a step just short of
-        # 2^K beta is not (2^K - 1) beta plus a remainder of almost beta.
+        # Steps of dt nu >= 1/2 put every grid point on the ladder's lattice
+        # up to its rounding, so no cell takes a Taylor series: a point just
+        # short of a lattice point is that point, not one inside a cell.
         pade = counting(monkeypatch, linalg, "_pade_expm")
         taylor = counting(monkeypatch, propagators, "_taylor_action")
         rng = np.random.default_rng(3)
@@ -182,11 +187,12 @@ class TestExactWalk:
         assert [a.shape for a, in pade] == [(scen.dim ** 2 - 1,) * 2]
         assert taylor == []
 
-    @pytest.mark.parametrize("start, pades", [(0.0, 1), (0.5, 2)])
-    def test_repeated_remainder_takes_one_exponential(self, monkeypatch, start, pades):
-        # Steps of dt nu < 1/2 all leave the same remainder below beta:
-        # the first takes a Taylor action, the rest one exponential of the
-        # step. From an offset start the first step also builds the ladder.
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    def test_fine_grid_takes_one_series_per_cell(self, monkeypatch, start):
+        # Steps of dt nu < 1/2 put many grid times inside each cell of the
+        # ladder's lattice: each such cell takes one Taylor series, and the
+        # walk crosses it by the series' sum. From 0 and from an offset
+        # start alike, the ladder takes one exponential.
         pade = counting(monkeypatch, linalg, "_pade_expm")
         taylor = counting(monkeypatch, propagators, "_taylor_action")
         rng = np.random.default_rng(3)
@@ -194,8 +200,17 @@ class TestExactWalk:
         grid = np.linspace(start, 2.0, 400)
         frame = propagators._frame(scen)
         walked = np.concatenate(list(propagators._exact_states(frame, grid)))
-        assert len(pade) == pades
-        assert len(taylor) == 1
+        assert len(pade) == 1
+        # beta: the first positive time scaled by 2^k to 1/2 <= beta nu < 1.
+        nu = propagators._norm_bound(frame)
+        beta = grid[grid > 0][0]
+        while beta * nu < 0.5:
+            beta *= 2.0
+        while beta * nu >= 1.0:
+            beta /= 2.0
+        cells = {math.floor(s) for s in grid / beta if abs(s - round(s)) > 1e-9}
+        assert len(cells) > 10
+        assert len(taylor) == len(cells)
         for t, state in zip(grid[::37], walked[::37]):
             single = propagators.exact_propagate(scen, t)
             assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - single) <= 1e-12
@@ -235,11 +250,10 @@ class TestExactWalk:
         assert len(pade) == 1
 
     def test_ladder_takes_one_bound(self, monkeypatch):
-        # nu >= ||M||_2 sets the ladder's base and bounds every remainder's
-        # Taylor series; each step of a log grid leaves a remainder.
+        # nu >= ||M||_2 sets the ladder's base and bounds every cell's
+        # Taylor series; the points of a log grid fall inside cells.
         pade = counting(monkeypatch, linalg, "_pade_expm")
-        # Each call's bound, first term S x and x, recorded at the call: the
-        # step reads the walk's current remainder whenever it is applied.
+        # Each call's bound, first term S x and x, recorded at the call.
         taylor = []
         action = propagators._taylor_action
 
@@ -273,7 +287,7 @@ class TestExactWalk:
 
     @pytest.mark.parametrize("grid, scale", [
         (np.geomspace(1e-2, 500.0, 16), 1.0),
-        # A large first step, then steps that leave remainders.
+        # A large first step, then points inside cells.
         ((1e3, 2e3 + 0.5, 2.5e3), 0.2),
     ])
     def test_walk_matches_dense_generator_oracle(self, monkeypatch, grid, scale):

@@ -5,6 +5,8 @@ step, built from the scenario's own float64 numbers, and walks the grid by
 powers of it, so it shares no code and no rounding with the package.
 """
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -64,13 +66,13 @@ def reference_scenario(rng, n, commuting):
     return h, members, rand_density(n, rng)
 
 
-@pytest.mark.parametrize("trial", range(8))
-def test_matrix_free_kernel_matches_40_digits(trial):
-    # n = 2 or 3 and uniform grids of 40 points to t nu between 25 and 50,
-    # so the walk crosses the lattice of substeps many times and its grid
-    # points fall on and between lattice points. The dyadic step keeps
-    # every grid time exact in float64. The frame's own rounding, about
-    # u t nu, is most of the error that remains.
+@functools.cache
+def reference(trial):
+    """The frame, bound, grid and 40-digit states of reference ``trial``:
+    n = 2 or 3 and a uniform grid of 40 points to t nu between 25 and 50,
+    so a walk crosses its lattice many times and its grid points fall on
+    and between lattice points. The dyadic step keeps every grid time
+    exact in float64."""
     rng = np.random.default_rng(400 + trial)
     n = 2 + trial % 2
     h, members, rho0 = reference_scenario(rng, n, commuting=trial % 4 == 3)
@@ -82,8 +84,29 @@ def test_matrix_free_kernel_matches_40_digits(trial):
     step = 2.0 ** np.floor(np.log2(50.0 / (39 * nu)))
     grid = step * np.arange(40)
     assert 25.0 < grid[-1] * nu <= 50.0
-    walked = np.concatenate(list(propagators._taylor_states(frame, grid, nu)))
     refs = mp_states(scen.hamiltonian.matrix, scen.family.members,
                      scen.initial_state.matrix, step, len(grid))
-    for state, ref in zip(walked, refs):
-        assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - ref) <= 1e-14
+    return frame, nu, grid, refs
+
+
+def assert_matches_40_digits(kernel, trial):
+    # From 0 and from the grid's eighth point: an offset start sets the
+    # dense kernel's lattice from a time that the later points are not
+    # multiples of, so they fall inside its cells. The frame's own
+    # rounding, about u t nu, is most of the error that remains.
+    frame, nu, grid, refs = reference(trial)
+    for start in (0, 7):
+        walked = np.concatenate(list(kernel(frame, grid[start:], nu)))
+        assert len(walked) == len(grid) - start
+        for state, ref in zip(walked, refs[start:]):
+            assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - ref) <= 1e-14
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_matrix_free_kernel_matches_40_digits(trial):
+    assert_matches_40_digits(propagators._taylor_states, trial)
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_dense_kernel_matches_40_digits(trial):
+    assert_matches_40_digits(propagators._ladder_states, trial)
