@@ -1,4 +1,4 @@
-"""Comparison metrics, the two-qubit Pauli decomposition and time sweeps."""
+"""Comparison metrics and time sweeps."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import numpy as np
 from .exceptions import DimensionError, InvalidInputError
 from .linalg import VALIDATION_TOL, _hermitian_part, hermiticity_residual
 from .model import Scenario
-from .propagators import _approx_states, _bch_constant, _chunks, _exact_states, _frame
+from .propagators import (_approx_states, _bch_constant, _chunks, _exact_states, _frame,
+                          _indicator)
 
 #: Gaps below this are treated as rounding noise by the convergence fit.
 GAP_NOISE_FLOOR = 1e-14
@@ -20,12 +21,6 @@ MODES = ("compare", "exact-only", "approx-only")
 
 _NAN = float("nan")
 _NAN_C = complex(_NAN, _NAN)
-
-_SIGMAS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 @dataclass(frozen=True)
@@ -40,21 +35,6 @@ class ErrorRecord:
     approx_trace: complex
     approx_min_eigenvalue: float
     bch_indicator: float
-
-
-@dataclass(frozen=True)
-class PauliDecomposition:
-    """Two-qubit Bloch-type coefficients.
-
-    rho = (1/4) (1 kron 1 + sum_i p_i s_i kron 1 + sum_j q_j 1 kron s_j
-                 + sum_ij r_ij s_i kron s_j)
-
-    with s_1 = sigma_x, s_2 = sigma_y, s_3 = sigma_z (stored 0-based).
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
 
 
 def trace_distance(rho, sigma) -> float | np.ndarray:
@@ -75,36 +55,6 @@ def trace_distance(rho, sigma) -> float | np.ndarray:
     eigs = np.linalg.eigvalsh(_hermitian_part(a) - _hermitian_part(b))
     distance = 0.5 * np.abs(eigs).sum(-1)
     return float(distance) if a.ndim == 2 else distance
-
-
-def pauli_decompose(rho) -> PauliDecomposition:
-    """Coefficients p_i = tr(rho (s_i kron 1)), q_j = tr(rho (1 kron s_j)),
-    r_ij = tr(rho (s_i kron s_j)) of a two-qubit state."""
-    a = np.asarray(rho, dtype=complex)
-    if a.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 two-qubit state, got shape {a.shape}")
-    if not hermiticity_residual(a) <= VALIDATION_TOL:
-        raise InvalidInputError("two-qubit state is not Hermitian")
-    eye = np.eye(2, dtype=complex)
-    p = np.array([np.trace(a @ np.kron(s, eye)).real for s in _SIGMAS])
-    q = np.array([np.trace(a @ np.kron(eye, s)).real for s in _SIGMAS])
-    r = np.array([[np.trace(a @ np.kron(si, sj)).real for sj in _SIGMAS] for si in _SIGMAS])
-    for coeffs in (p, q, r):
-        coeffs.setflags(write=False)
-    return PauliDecomposition(p=p, q=q, r=r)
-
-
-def pauli_reconstruct(d: PauliDecomposition) -> np.ndarray:
-    """Inverse of :func:`pauli_decompose`."""
-    eye = np.eye(2, dtype=complex)
-    out = np.kron(eye, eye)
-    for i, s in enumerate(_SIGMAS):
-        out += d.p[i] * np.kron(s, eye)
-        out += d.q[i] * np.kron(eye, s)
-    for i, si in enumerate(_SIGMAS):
-        for j, sj in enumerate(_SIGMAS):
-            out += d.r[i, j] * np.kron(si, sj)
-    return out / 4.0
 
 
 def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
@@ -144,7 +94,7 @@ def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
             t = float(t)
             records.append(ErrorRecord(
                 time=t, trace_distance=d, frobenius_gap=f, exact_trace=et, approx_trace=at,
-                approx_min_eigenvalue=e, bch_indicator=0.5 * t * t * kappa))
+                approx_min_eigenvalue=e, bch_indicator=_indicator(t, kappa)))
     return records
 
 

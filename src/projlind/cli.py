@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 validation failure, 2 propagation failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import sys
@@ -46,12 +45,14 @@ def _csv_row(rec: analysis.ErrorRecord) -> tuple:
             rec.approx_min_eigenvalue, rec.bch_indicator)
 
 
+#: One CSV row: every value to 17 significant digits, which round-trips.
+_CSV_ROW = ",".join(["{:.17g}"] * len(CSV_COLUMNS)) + "\n"
+
+
 def _write_csv(path: str, records: list[analysis.ErrorRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(f"{value:.17g}" for value in _csv_row(rec))
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(_CSV_ROW.format(*_csv_row(rec)) for rec in records)
 
 
 def _summary(scenario: Scenario, mode: str, records: list[analysis.ErrorRecord]) -> list[str]:

@@ -59,9 +59,14 @@ def hermiticity_residual(m) -> float | np.ndarray:
 
 
 def _hermitian_part(m) -> np.ndarray:
-    """(m + m^dag) / 2 of a matrix or of each matrix of a stack (..., n, n)."""
-    a = np.asarray(m, dtype=complex)
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+    """(m + m^dag) / 2 of a matrix or of each matrix of a stack (..., n, n).
+
+    Halved before the sum, so entries near the float range cannot overflow;
+    otherwise the result is (m + m^dag) / 2 to the bit, unless an entry is
+    subnormal.
+    """
+    a = np.asarray(m, dtype=complex) / 2.0
+    return a + a.conj().swapaxes(-1, -2)
 
 
 def _pade_expm(a: np.ndarray) -> np.ndarray:

@@ -269,18 +269,6 @@ def projector_from_vectors(vectors) -> np.ndarray:
     return p
 
 
-def _check_projector(p, name: str = "input") -> np.ndarray:
-    a = _frozen_complex(p, name)
-    herm = hermiticity_residual(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        idem = np.linalg.norm(a @ a - a)
-    if not herm <= VALIDATION_TOL:
-        raise InvalidInputError(f"{name} is not Hermitian (residual {herm:.3e})")
-    if not idem <= VALIDATION_TOL:
-        raise InvalidInputError(f"{name} is not idempotent (residual {idem:.3e})")
-    return a
-
-
 def hamiltonian_superop(h) -> np.ndarray:
     """Vectorized commutator generator -i (H kron 1 - 1 kron H^T).
 
@@ -306,39 +294,4 @@ def dissipator_superop(family: ProjectorFamily) -> np.ndarray:
     for p, lam in family:
         q = eye - p
         out -= (lam / 2.0) * (np.kron(p, q.T) + np.kron(q, p.T))
-    return out
-
-
-def coherence_block_projector(p) -> np.ndarray:
-    """Superoperator projecting onto the cross blocks between ran(P) and ran(Q).
-
-    For a projector P and Q = 1 - P this is
-
-        R = P kron Q^T + Q kron P^T,
-
-    which acts as vec(rho) -> vec(P rho Q + Q rho P) and is itself a
-    projector. These operators commute across the members of an orthogonal
-    family, which is what makes the factorized propagator exact for the
-    dissipative part.
-    """
-    a = _check_projector(p, "projector")
-    q = np.eye(a.shape[0], dtype=complex) - a
-    return np.kron(a, q.T) + np.kron(q, a.T)
-
-
-def projector_exp(scale: float, r) -> np.ndarray:
-    """exp(scale * R) = 1 + (e^scale - 1) R for a projector R.
-
-    Validated against the projector axioms; agrees with the general matrix
-    exponential but costs one scalar exponential. ``scale`` must be finite,
-    and e^scale must not overflow.
-    """
-    scale = float(scale)
-    if not np.isfinite(scale):
-        raise InvalidInputError(f"scale must be a finite number, got {scale!r}")
-    a = _check_projector(r, "superoperator")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.eye(a.shape[0], dtype=complex) + (np.exp(scale) - 1.0) * a
-    if not np.all(np.isfinite(out)):
-        raise InvalidInputError(f"exp({scale!r}) R overflows")
     return out

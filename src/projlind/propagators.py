@@ -44,7 +44,9 @@ truncation bound (sigma tau nu)^(k+1) / (k+1)! is no larger than the
 cell's. A cell whose series is taken is crossed by its sum; the walk
 crosses any other m cells by the kernel's own advance. A time within
 8 eps s of a lattice point, s = t / tau and eps = 2^-52, is that point:
-the rest is the rounding of the grid's points, not time.
+the rest is the rounding of the grid's points, not time. Where s
+overflows, as at t = 1e308, the lattice index is the exact integer
+quotient, so grid times reach the float maximum.
 
 The matrix-free kernel applies L to the n x n frame state, one n x n
 product per application: with Z = -i tau H' T,
@@ -227,7 +229,13 @@ def bch_error_indicator(scenario: Scenario, t) -> float:
     (Jahnke & Lubich, BIT 40 (2000); Childs et al., PRX 11, 011020 (2021)).
     """
     t = _check_time(t)
-    return 0.5 * t * t * _bch_constant(_frame(scenario))
+    return _indicator(t, _bch_constant(_frame(scenario)))
+
+
+def _indicator(t: float, kappa: float) -> float:
+    """(t^2/2) kappa, exactly 0 for a commuting scenario even where t^2
+    overflows."""
+    return 0.5 * t * t * kappa if kappa else 0.0
 
 
 def _bch_constant(frame: _Frame) -> float:
@@ -344,9 +352,15 @@ def _lattice_walk(x, times, lattice):
             # 8 eps s of a lattice point is that point: the rest is the
             # rounding of the grid, not time.
             s = float(t) / tau if tau else 0.0
-            i, sigma = round(s), 0.0
-            if abs(s - i) > 8.0 * eps * s:
-                i, sigma = math.floor(s), s - math.floor(s)
+            if s == math.inf:
+                # Past the float range t is an integer, and 8 eps s is far
+                # over a cell: i is the floor of the exact quotient.
+                num, den = tau.as_integer_ratio()
+                i, sigma = int(t) * den // num, 0.0
+            else:
+                i, sigma = round(s), 0.0
+                if abs(s - i) > 8.0 * eps * s:
+                    i, sigma = math.floor(s), s - math.floor(s)
             if i > j:
                 if terms is not None:
                     x, j = terms.sum(0), j + 1
@@ -397,9 +411,11 @@ def _ladder_states(frame: _Frame, times, nu: float):
     gen = _coordinates(_generator(frame)(basis), q, pairs).T
 
     def lattice(t):
-        # t nu = f 2^e with 1/2 <= f < 1, so beta nu = f. E_0 = exp(beta M)
-        # is the scenario's one Pade exponential.
-        beta = math.ldexp(t, -math.frexp(t * nu)[1])
+        # t nu = f 2^e with 1/2 <= f < 1, so beta nu = f; e is taken from
+        # the factors, since t nu may overflow. E_0 = exp(beta M) is the
+        # scenario's one Pade exponential.
+        (ft, et), (fn, en) = math.frexp(t), math.frexp(nu)
+        beta = math.ldexp(t, -(math.frexp(ft * fn)[1] + et + en))
         ladder = [matexp(beta * gen)]
 
         def series(y):
@@ -413,8 +429,11 @@ def _ladder_states(frame: _Frame, times, nu: float):
                     with np.errstate(over="ignore", invalid="ignore"):
                         ladder.append(ladder[-1] @ ladder[-1])
                     if not np.isfinite(ladder[-1]).all():
-                        raise FloatingPointError(
-                            f"exact propagator overflows at t nu = {m * beta * nu:.3g}")
+                        # Decimal, as m beta nu may be past the float range;
+                        # imported here, off the start-up path of every run.
+                        from decimal import Decimal
+                        raise FloatingPointError("exact propagator overflows at t nu = "
+                                                 f"{m * Decimal(beta * nu):.3g}")
                 if m >> j & 1:
                     y = ladder[j] @ y
             return y

@@ -1,8 +1,9 @@
 """Independent brute-force oracles and random generators for the test suite.
 
-Nothing here calls into ``projlind``; the exponential oracle and the random
-model builders are deliberately separate routes so the package can be
-checked against them.
+Nothing here calls into ``projlind``; the exponential oracle, the paper's
+coherence-block algebra R_j, the two-qubit Pauli decomposition and the
+random model builders are deliberately separate routes so the package can
+be checked against them.
 """
 
 import numpy as np
@@ -105,10 +106,49 @@ def _unitary(h, t):
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def _coherence_block(p):
-    """R = P kron Q^T + Q kron P^T, the superoperator of rho -> P rho Q + Q rho P."""
+def coherence_block_projector(p):
+    """R = P kron Q^T + Q kron P^T, Q = 1 - P, the superoperator of
+    rho -> P rho Q + Q rho P on row-stacked states. It is a projector, and
+    across a mutually orthogonal family these commute, multiply pairwise to
+    P_j kron P_k^T + P_k kron P_j^T and vanish in triples: the algebra that
+    collapses exp(tB) into the closed form."""
+    p = np.asarray(p, dtype=complex)
     q = np.eye(p.shape[0]) - p
     return np.kron(p, q.T) + np.kron(q, p.T)
+
+
+def projector_exp(scale, r):
+    """exp(scale R) = 1 + (e^scale - 1) R for a projector R."""
+    r = np.asarray(r, dtype=complex)
+    return np.eye(r.shape[0]) + (np.exp(scale) - 1.0) * r
+
+
+def pauli_decompose(rho):
+    """Two-qubit Bloch-type coefficients (p, q, r) with
+    p_i = tr(rho (s_i kron 1)), q_j = tr(rho (1 kron s_j)) and
+    r_ij = tr(rho (s_i kron s_j)), s = (SX, SY, SZ), so that
+
+        rho = (1/4) (1 + sum_i p_i s_i kron 1 + sum_j q_j 1 kron s_j
+                     + sum_ij r_ij s_i kron s_j)."""
+    rho = np.asarray(rho, dtype=complex)
+    eye = np.eye(2)
+    p = np.array([np.trace(rho @ np.kron(s, eye)).real for s in (SX, SY, SZ)])
+    q = np.array([np.trace(rho @ np.kron(eye, s)).real for s in (SX, SY, SZ)])
+    r = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in (SX, SY, SZ)]
+                  for si in (SX, SY, SZ)])
+    return p, q, r
+
+
+def pauli_reconstruct(p, q, r):
+    """The state with the coefficients of :func:`pauli_decompose`."""
+    eye = np.eye(2)
+    sigmas = (SX, SY, SZ)
+    out = np.kron(eye, eye).astype(complex)
+    for i, s in enumerate(sigmas):
+        out += p[i] * np.kron(s, eye) + q[i] * np.kron(eye, s)
+        for j, sj in enumerate(sigmas):
+            out += r[i, j] * np.kron(s, sj)
+    return out / 4.0
 
 
 def _factorized(h, superop, rho0, t):
@@ -129,8 +169,7 @@ def approx_product(h, members, rho0, t):
     n = np.asarray(rho0).shape[0]
     op = np.eye(n * n, dtype=complex)
     for p, lam in members:
-        p = np.asarray(p, dtype=complex)
-        op = op @ (np.eye(n * n) + (np.exp(-lam * t / 2.0) - 1.0) * _coherence_block(p))
+        op = op @ projector_exp(-lam * t / 2.0, coherence_block_projector(p))
     return _factorized(h, op, rho0, t)
 
 
@@ -146,7 +185,7 @@ def approx_expanded(h, members, rho0, t):
     c = [np.exp(-lam * t / 2.0) - 1.0 for _, lam in members]
     op = np.eye(n * n, dtype=complex)
     for j, p in enumerate(ps):
-        op += c[j] * _coherence_block(p)
+        op += c[j] * coherence_block_projector(p)
     for j in range(len(ps)):
         for k in range(j + 1, len(ps)):
             op += c[j] * c[k] * (np.kron(ps[j], ps[k].T) + np.kron(ps[k], ps[j].T))
@@ -161,7 +200,7 @@ def _superops(h, members):
     a = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
     b = np.zeros_like(a)
     for p, lam in members:
-        b -= (lam / 2.0) * _coherence_block(np.asarray(p, dtype=complex))
+        b -= (lam / 2.0) * coherence_block_projector(p)
     return a, b
 
 

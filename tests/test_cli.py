@@ -338,6 +338,24 @@ class TestExtremeValidConfigs:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    @pytest.mark.parametrize("name", ["driven-qubit", "three-projector"])
+    def test_grid_time_near_the_float_range_gives_a_finite_report(self, tmp_path, name, mode):
+        # t / tau and the Hermitian part of -i t H' stay within the float
+        # range; only the indicator (t^2/2) ||[A, B]||_F overflows, to inf.
+        doc = json.loads(presets.preset_text(name))
+        doc["time_grid"] = [0.0, 1.0, 1e308]
+        cfg, out = tmp_path / "far.json", tmp_path / "report.csv"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        header, *rows = read_csv(out)
+        assert [float(row[0]) for row in rows] == [0.0, 1.0, 1e308]
+        assert rows[-1][-1] == "inf"
+        for row in rows:
+            for col, value in zip(header[:-1], row[:-1]):
+                assert math.isfinite(float(value)) == (col in COMPUTED[mode]), (col, value)
+
+
 class TestPresets:
     def test_list(self, capsys):
         assert cli.main(["presets"]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -97,6 +99,20 @@ def test_matexp_rejects_an_overflowing_symmetry_residual():
     # the gate rather than return a wrong "unitary".
     with pytest.raises(InvalidInputError, match="symmetry gate"):
         linalg.matexp(1j * np.array([[0.0, 1e200], [0.0, 0.0]]), assume="anti_hermitian")
+
+
+@pytest.mark.parametrize("nu, degree", [(0.0, 0), (1.0, 18), (3.0, 28)])
+def test_taylor_action_stops_at_the_first_bound_below_half_the_unit_roundoff(nu, degree):
+    # S = nu on the vector (1,): the term of degree k is nu^k / k!, which is
+    # also the stopping rule's bound for it.
+    x = np.ones(1)
+    terms = linalg._taylor_action(lambda y, k: nu * y / k, nu, x)
+    assert terms[0] is x and len(terms) == degree + 1
+    expected = [nu ** k / math.factorial(k) for k in range(degree + 1)]
+    assert_allclose(np.concatenate(terms), expected, rtol=1e-15, atol=0)
+    half_u = np.finfo(float).eps / 4.0
+    assert nu ** (degree + 1) / math.factorial(degree + 1) <= half_u
+    assert not nu ** degree / math.factorial(degree) <= half_u
 
 
 def test_hermiticity_residual_of_a_stack_matches_each_matrix():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from projlind import analysis, config, linalg, model, propagators
+from projlind import analysis, config, linalg, model, presets, propagators
 from projlind.exceptions import InvalidInputError
 
 from oracles import (
@@ -114,6 +114,21 @@ class TestExactPropagate:
         # t nu near 2.5e17: the driven, dephased qubit has forgotten rho0.
         out = propagators.exact_propagate(DRIVEN, 1e17)
         assert np.linalg.norm(out - np.eye(2) / 2) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e308, 1.7e308])
+    def test_horizon_past_the_float_range_reaches_the_stationary_state(self, t):
+        # t nu and t / beta overflow: the ladder's base and the lattice
+        # index come from exponents and integers, and the walk takes about
+        # 1,025 squarings.
+        out = propagators.exact_propagate(DRIVEN, t)
+        assert np.linalg.norm(out - np.eye(2) / 2) <= 1e-12
+
+    def test_overflow_past_the_float_range_names_its_t_nu(self):
+        # An undamped coherence leaves the squarings rounding to amplify;
+        # the t nu of the message is itself past the float range.
+        scen = presets.preset_scenario("two-qubit-rank2")
+        with pytest.raises(FloatingPointError, match=r"overflows at t nu = 2\.75e\+308$"):
+            propagators.exact_propagate(scen, 1e308)
 
     def test_rejects_negative_time(self):
         with pytest.raises(InvalidInputError):
@@ -498,6 +513,8 @@ class TestBchErrorIndicator:
     def test_commuting_scenario_gives_zero(self):
         scen = make_scenario(np.diag([1.0, -1.0]), [(P0, 1.0)], np.diag([1.0, 0.0]))
         assert propagators.bch_error_indicator(scen, 1.3) == 0.0
+        # t^2 overflows; the indicator is still 0, not inf * 0 = nan.
+        assert propagators.bch_error_indicator(scen, 1e308) == 0.0
         # A rank-n projector is the identity up to rounding: no dissipation.
         rng = np.random.default_rng(41)
         for n in (2, 3, 4):
