@@ -43,17 +43,26 @@ def hermiticity_residual(m) -> float | np.ndarray:
     """Relative Hermiticity defect ||m - m^dag||_F / max(1, ||m||_F).
 
     A float for an n x n matrix; for a stack (..., n, n), the array of the
-    defects of its matrices. A norm that overflows gives no numpy warning,
-    and a NaN or infinite defect fails every gate.
+    defects of its matrices. Dividing a matrix whose largest real or
+    imaginary part is at least 1 by a power of two that keeps that part at
+    least 1 changes no bit of its defect (unless an entry underflows). So a
+    stack, and a single matrix whose squared norms overflow, is scaled
+    matrix by matrix to a largest part in [1, 2) before any norm is
+    squared, and no squared norm overflows. A NaN or infinite entry gives a
+    NaN or infinite defect, which fails every gate, and no numpy warning.
     """
     a = np.asarray(m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         if a.ndim == 2:
-            # One BLAS dot per norm: the stacked reduction below costs a few
-            # microseconds more on a single matrix.
-            d = (a - a.conj().T).ravel()
-            flat = a.ravel()
-            return math.sqrt(np.vdot(d, d).real) / max(1.0, math.sqrt(np.vdot(flat, flat).real))
+            # One BLAS dot per squared norm, as long as they stay finite:
+            # the stacked reduction below costs a few microseconds more on
+            # a single matrix.
+            d, flat = (a - a.conj().T).ravel(), a.ravel()
+            dd, ff = np.vdot(d, d).real, np.vdot(flat, flat).real
+            if math.isfinite(dd + ff):
+                return math.sqrt(dd) / max(1.0, math.sqrt(ff))
+        largest = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), keepdims=True)
+        a = a / 2.0 ** np.maximum(np.frexp(largest)[1] - 1, 0)
         return (np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
                 / np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))))
 
@@ -126,19 +135,14 @@ def _taylor_action(step, nu: float, x) -> list:
     return terms
 
 
-def matexp(m, assume: str | None = None) -> np.ndarray:
-    """Matrix exponential exp(m).
+def matexp(m) -> np.ndarray:
+    """Matrix exponential exp(m) of a square matrix with finite entries.
 
-    Parameters
-    ----------
-    m : array_like
-        Square matrix with finite entries. ``float64`` input stays real;
-        anything else is computed in ``complex128``.
-    assume : {None, "anti_hermitian"}, optional
-        With ``None`` the general scaling-and-squaring Pade path is used.
-        ``"anti_hermitian"`` selects an eigendecomposition path, whose result
-        is unitary to rounding, and requires the input to pass the symmetry
-        gate at the relative tolerance ``VALIDATION_TOL``.
+    ``float64`` input stays real; anything else is computed in
+    ``complex128``. A complex input that equals minus its conjugate
+    transpose to the bit, m = i h with h Hermitian, takes one
+    eigendecomposition of h, so its result is unitary to rounding; every
+    other input takes scaling-and-squaring Pade.
     """
     a = np.asarray(m)
     a = a.astype(float if a.dtype == np.float64 else complex, copy=False)
@@ -146,13 +150,7 @@ def matexp(m, assume: str | None = None) -> np.ndarray:
         raise DimensionError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matexp input contains NaN or Inf entries")
-
-    if assume is None:
-        return _pade_expm(a)
-    if assume == "anti_hermitian":
-        h = -1j * a  # Hermitian generator: m = i h
-        if not hermiticity_residual(h) <= VALIDATION_TOL:
-            raise InvalidInputError("matrix flagged anti_hermitian fails the symmetry gate")
-        w, v = np.linalg.eigh(_hermitian_part(h))
+    if a.dtype == complex and np.array_equal(a, -a.conj().T):
+        w, v = np.linalg.eigh(-1j * a)
         return (v * np.exp(1j * w)) @ v.conj().T
-    raise ValueError(f"unknown assume={assume!r}")
+    return _pade_expm(a)

@@ -15,10 +15,14 @@ projectors share one eigenbasis V; with the remainder 1 - sum_j P_j as an
 extra block of rate 0, every column of V lies in one block, and
 B rho = -V (G o V^dag rho V) V^dag with G_ab = 0 inside a block and
 (r_a + r_b)/2 between blocks of rates r_a, r_b. The frame is (V, G,
-H' = V^dag H V, X0 = V^dag rho0 V); a state rho appears in it as V^dag rho V.
+H' = V^dag H V, X0 = V^dag rho0 V), with H' and X0 taken as the Hermitian
+parts of those products, so both equal their conjugate transposes to the
+bit; a state rho appears in it as V^dag rho V.
 
 There the factorized state is U' (exp(-tG) o X0) U'^dag with
-U' = exp(-i t H'), one eigendecomposition of H' per time point. The Schur
+U' = exp(-i t H'), one eigendecomposition of H' per time point: -i t H' is
+anti-Hermitian to the bit at every finite t, so
+:func:`projlind.linalg.matexp` takes its unitary route. The Schur
 factor is the paper's pair expansion prod_j (1 + (e^{-lambda_j t/2} - 1) R_j),
 R_j = P_j kron Q_j^T + Q_j kron P_j^T, summed in closed form; the literal
 product and the multiplied-out pair sum are independent oracles in the test
@@ -54,8 +58,8 @@ product per application: with Z = -i tau H' T,
     tau L(T) = Z + Z^dag - (tau G) o T
 
 for Hermitian T, and each such sum is exactly Hermitian, so every state
-walked from the Hermitian part of X0 is Hermitian to the last bit. Its
-lattice is a fixed one of substeps tau = _THETA / nu, _THETA = 3, where
+walked from X0 is Hermitian to the last bit. Its lattice is a fixed one
+of substeps tau = _THETA / nu, _THETA = 3, where
 
     nu = (w_max - w_min) + max G,   w the eigenvalues of H',
 
@@ -131,8 +135,10 @@ paths work on chunks of at most _CHUNK consecutive times and yield one
 (b, n, n) stack of states per chunk: the exact kernels collect a chunk's
 states (the dense one rebuilds them from its coordinate vectors in one
 call), and the closed form applies its unitary factors as stacked
-products. A sweep so holds O(n^4 + _CHUNK n^2) numbers whatever the length
-of its grid. Only the public functions rotate a frame state back to the
+products. The states of a sweep so take O(n^4 + _CHUNK n^2) numbers
+whatever the length of its grid; the records that
+:func:`projlind.analysis.sweep` returns still grow with it, by about 330
+bytes per point. Only the public functions rotate a frame state back to the
 lab frame.
 """
 
@@ -165,7 +171,8 @@ class _Frame(NamedTuple):
 
 
 def _frame(scenario: Scenario) -> _Frame:
-    """The scenario's frame, from one eigendecomposition.
+    """The scenario's frame, from one eigendecomposition; H' and X0 are
+    made exactly Hermitian here, and nowhere else.
 
     The eigenvalues of sum_j j P_j (j from 1) label the columns of V: j for
     the range of P_j, 0 for the remainder. Family validation holds them
@@ -182,8 +189,8 @@ def _frame(scenario: Scenario) -> _Frame:
     g = np.where(labels[:, None] == labels[None, :], 0.0,
                  rates[:, None] / 2.0 + rates[None, :] / 2.0)
     vh = v.conj().T
-    return _Frame(v, g, vh @ scenario.hamiltonian.matrix @ v,
-                  vh @ scenario.initial_state.matrix @ v)
+    return _Frame(v, g, _hermitian_part(vh @ scenario.hamiltonian.matrix @ v),
+                  _hermitian_part(vh @ scenario.initial_state.matrix @ v))
 
 
 def _check_time(t) -> float:
@@ -263,9 +270,11 @@ def _approx_states(frame: _Frame, times):
     """Yield the factorized states U' (exp(-tG) o X0) U'^dag in the frame
     at the ``times``, one (b, n, n) stack per chunk."""
     for chunk in _chunks(times):
-        # Eigendecomposition path keeps each factor unitary to rounding.
-        u = np.stack([matexp(-1j * t * frame.h, assume="anti_hermitian") for t in chunk])
-        decayed = np.exp(-np.array(chunk)[:, None, None] * frame.g) * frame.x0
+        # Exactly anti-Hermitian, so each factor is unitary to rounding.
+        u = np.stack([matexp(-1j * t * frame.h) for t in chunk])
+        # t G may overflow to inf, where the decay is exactly 0.
+        with np.errstate(over="ignore"):
+            decayed = np.exp(-np.array(chunk)[:, None, None] * frame.g) * frame.x0
         yield u @ decayed @ u.conj().swapaxes(-1, -2)
 
 
@@ -317,7 +326,7 @@ def _norm_bound(frame: _Frame) -> float:
 def _generator(frame: _Frame):
     """X -> L(X) = Z + Z^dag - G o X, Z = -i H' X, for Hermitian X or a stack
     of them; each L(X) is exactly Hermitian."""
-    mih = -1j * _hermitian_part(frame.h)
+    mih = -1j * frame.h
     # Complex, so the Schur product takes no mixed-type loop; same values.
     g = frame.g.astype(complex)
 
@@ -397,7 +406,7 @@ def _taylor_states(frame: _Frame, times, nu: float):
             y = series(y).sum(0)
         return y
 
-    yield from _lattice_walk(_hermitian_part(frame.x0), times, lambda t: (tau, series, advance))
+    yield from _lattice_walk(frame.x0, times, lambda t: (tau, series, advance))
 
 
 def _ladder_states(frame: _Frame, times, nu: float):

@@ -34,6 +34,10 @@ TIMEOUT_S = 600
 
 FAR = "tests/test_cli.py::TestExtremeValidConfigs::" \
       "test_grid_time_near_the_float_range_gives_a_finite_report"
+DECAY = "tests/test_cli.py::TestExtremeValidConfigs::" \
+        "test_decay_past_the_float_range_gives_a_finite_report"
+GATE = "tests/test_analysis.py::TestTraceDistance::test_stack_gates_every_member[rho]"
+SWEEP = "tests/test_analysis.py::TestSweep::"
 
 
 class Mutant(NamedTuple):
@@ -58,7 +62,8 @@ MUTANTS = (
             "tests/test_propagators.py::TestExactWalk::"
             "test_fine_grid_takes_one_series_per_cell[0.5]",
             "tests/test_propagators.py::TestBchErrorIndicator::test_bounds_the_splitting_gap",
-            "tests/test_propagators.py::TestMatrixFreeKernel::test_agrees_with_the_dense_kernel")),
+            "tests/test_propagators.py::TestMatrixFreeKernel::test_agrees_with_the_dense_kernel",
+            "tests/test_propagators.py::TestFrame::test_generator_norm_is_bounded_by_nu")),
     Mutant("hermitian-part-summed-first", "src/projlind/linalg.py",
            "a = np.asarray(m, dtype=complex) / 2.0\n    return a + a.conj().swapaxes(-1, -2)",
            "a = np.asarray(m, dtype=complex)\n    return (a + a.conj().swapaxes(-1, -2)) / 2.0",
@@ -81,6 +86,67 @@ MUTANTS = (
            "return 0.5 * t * t * kappa if kappa else 0.0", "return 0.5 * t * t * kappa",
            ("tests/test_propagators.py::TestBchErrorIndicator::"
             "test_commuting_scenario_gives_zero",)),
+    Mutant("trace-distance-gate-any", "src/projlind/analysis.py",
+           "if not np.all(hermiticity_residual(m) <= VALIDATION_TOL):",
+           "if not np.any(hermiticity_residual(m) <= VALIDATION_TOL):",
+           (GATE,)),
+    Mutant("trace-distance-gate-first-member", "src/projlind/analysis.py",
+           "if not np.all(hermiticity_residual(m) <= VALIDATION_TOL):",
+           "if not np.all(hermiticity_residual(m.reshape(-1, *m.shape[-2:])[0]) "
+           "<= VALIDATION_TOL):",
+           (GATE,)),
+    Mutant("largest-eigenvalue", "src/projlind/analysis.py",
+           "min_eig = np.linalg.eigvalsh(_hermitian_part(approx))[:, 0]",
+           "min_eig = np.linalg.eigvalsh(_hermitian_part(approx))[:, -1]",
+           (SWEEP + "test_chunk_boundaries_match_single_points[1]",)),
+    Mutant("chunk-plus-one", "src/projlind/propagators.py",
+           "while chunk := list(islice(times, _CHUNK)):",
+           "while chunk := list(islice(times, _CHUNK + 1)):",
+           (SWEEP + "test_sweep_holds_one_chunk_per_path",)),
+    Mutant("no-lattice-snap", "src/projlind/propagators.py",
+           "if abs(s - i) > 8.0 * eps * s:", "if abs(s - i) > 0.0:",
+           ("tests/test_propagators.py::TestExactWalk::"
+            "test_uniform_grid_takes_one_exponential[2.0-12]",)),
+    Mutant("one-decay-per-chunk", "src/projlind/propagators.py",
+           "decayed = np.exp(-np.array(chunk)[:, None, None] * frame.g) * frame.x0",
+           "decayed = np.exp(-chunk[0] * frame.g) * frame.x0",
+           (SWEEP + "test_commuting_scenario_all_small",)),
+    Mutant("bool-guard-off", "src/projlind/config.py",
+           'return doc, "true" not in text and "false" not in text', "return doc, True",
+           ("tests/test_config.py::TestMatrixReading::"
+            "test_rejected_node_keeps_the_walk_message[bool]",)),
+    Mutant("cell-not-crossed-by-its-sum", "src/projlind/propagators.py",
+           "x, j = terms.sum(0), j + 1", "pass",
+           ("tests/test_propagators.py::TestDenseOutput::"
+            "test_one_series_per_substep_whatever_the_grid",)),
+    Mutant("walk-restarts-per-chunk", "src/projlind/propagators.py",
+           "    tau, j, terms = None, 0, None\n    for chunk in _chunks(times):\n",
+           "    for chunk in _chunks(times):\n        tau, j, terms = None, 0, None\n",
+           (SWEEP + "test_chunk_boundaries_match_single_points[65]",
+            SWEEP + "test_chunk_boundaries_match_single_points[133]")),
+    Mutant("parser-rebuilt-per-call", "src/projlind/cli.py",
+           "args = _parser().parse_args(argv)", "args = build_parser().parse_args(argv)",
+           ("tests/test_cli.py::test_repeated_calls_in_one_process",)),
+    Mutant("matrix-as-re-plus-im", "src/projlind/config.py",
+           "return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]",
+           "return a[..., 0] + 1j * a[..., 1]",
+           ("tests/test_config.py::TestRoundTrip::test_roundtrip_is_bit_exact",)),
+    Mutant("frame-not-hermitian", "src/projlind/propagators.py",
+           "return _Frame(v, g, _hermitian_part(vh @ scenario.hamiltonian.matrix @ v),\n"
+           "                  _hermitian_part(vh @ scenario.initial_state.matrix @ v))",
+           "return _Frame(v, g, vh @ scenario.hamiltonian.matrix @ v,\n"
+           "                  vh @ scenario.initial_state.matrix @ v)",
+           ("tests/test_propagators.py::TestFrame::test_frame_is_exactly_hermitian",
+            "tests/test_cli.py::TestRandomBasisFarTime::test_closed_form_takes_no_pade")),
+    Mutant("decay-product-warns", "src/projlind/propagators.py",
+           'with np.errstate(over="ignore"):\n            decayed',
+           "if True:\n            decayed",
+           (DECAY + "[driven-qubit-4.0-grid0-approx-only]",
+            DECAY + "[driven-qubit-1e+300-grid3-compare]")),
+    Mutant("residual-not-rescaled", "src/projlind/linalg.py",
+           "a = a / 2.0 ** np.maximum(np.frexp(largest)[1] - 1, 0)", "a = a + 0.0 * largest",
+           ("tests/test_model.py::TestHamiltonian::"
+            "test_accepts_a_hermitian_matrix_whose_squared_norm_overflows",)),
 )
 
 

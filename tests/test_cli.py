@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from projlind import analysis, cli, config, presets, propagators
+from projlind import analysis, cli, config, linalg, presets, propagators
 from projlind.model import DensityMatrix, Hamiltonian, ProjectorFamily, Scenario
 
 NON_ORTHOGONAL = {
@@ -305,6 +305,18 @@ def finite_report(path, mode):
     return rows
 
 
+def far_report(path, mode, grid):
+    """The rows of the report at ``path``, after checking its times against
+    ``grid`` and that every column but the indicator that ``mode`` computes
+    is finite in every row and no other one is; the indicator may overflow."""
+    header, *rows = read_csv(path)
+    assert [float(row[0]) for row in rows] == grid
+    for row in rows:
+        for col, value in zip(header[:-1], row[:-1]):
+            assert math.isfinite(float(value)) == (col in COMPUTED[mode]), (col, value)
+    return rows
+
+
 class TestExtremeValidConfigs:
     # Valid configs near the float range give a finite report or an error
     # that names the overflow; the suite's warning policy makes any numpy
@@ -337,23 +349,74 @@ class TestExtremeValidConfigs:
         assert err.startswith("error: propagation failed: exact propagator overflows at t nu = ")
         assert not out.exists()
 
-
     @pytest.mark.parametrize("mode", analysis.MODES)
     @pytest.mark.parametrize("name", ["driven-qubit", "three-projector"])
     def test_grid_time_near_the_float_range_gives_a_finite_report(self, tmp_path, name, mode):
-        # t / tau and the Hermitian part of -i t H' stay within the float
-        # range; only the indicator (t^2/2) ||[A, B]||_F overflows, to inf.
+        # t / tau and -i t H' stay within the float range; only the
+        # indicator (t^2/2) ||[A, B]||_F overflows, to inf.
         doc = json.loads(presets.preset_text(name))
         doc["time_grid"] = [0.0, 1.0, 1e308]
         cfg, out = tmp_path / "far.json", tmp_path / "report.csv"
         cfg.write_text(json.dumps(doc))
         assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
-        header, *rows = read_csv(out)
-        assert [float(row[0]) for row in rows] == [0.0, 1.0, 1e308]
-        assert rows[-1][-1] == "inf"
-        for row in rows:
-            for col, value in zip(header[:-1], row[:-1]):
-                assert math.isfinite(float(value)) == (col in COMPUTED[mode]), (col, value)
+        assert far_report(out, mode, [0.0, 1.0, 1e308])[-1][-1] == "inf"
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    @pytest.mark.parametrize("name, rate, grid", [
+        ("driven-qubit", 4.0, [0.0, 1.0, 1e308]),
+        ("qubit-dephasing", 4.0, [0.0, 1.0, 1e308]),
+        ("three-projector", 4.0, [0.0, 1.0, 1e308]),
+        ("driven-qubit", 1e300, [0.0, 1.0, 1e10]),
+    ])
+    def test_decay_past_the_float_range_gives_a_finite_report(self, tmp_path, name, rate,
+                                                               grid, mode):
+        # t G overflows to inf, where the closed form's decay is exactly 0.
+        doc = json.loads(presets.preset_text(name))
+        for member in doc["projectors"]:
+            member["rate"] = rate
+        doc["time_grid"] = grid
+        cfg, out = tmp_path / "decay.json", tmp_path / "report.csv"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        far_report(out, mode, grid)
+
+
+def random_basis_config(tmp_path, grid):
+    """n = 6, with three projectors of ranks 2, 1 and 3 cut from one random
+    unitary, so that V^dag H V is Hermitian only to rounding."""
+    rng = np.random.default_rng(61)
+    z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    u, _ = np.linalg.qr(z)
+    blocks = [u[:, :2], u[:, 2:3], u[:, 3:]]
+    h = (z + z.conj().T) / 4.0
+    rho = z @ z.conj().T
+    scen = Scenario(Hamiltonian(h),
+                    ProjectorFamily(tuple((b @ b.conj().T, 0.5 + k) for k, b in enumerate(blocks))),
+                    DensityMatrix(rho / np.trace(rho).real), grid)
+    cfg = tmp_path / "random-basis.json"
+    cfg.write_text(config.dumps_config(scen))
+    return cfg
+
+
+class TestRandomBasisFarTime:
+    # -i t H' is anti-Hermitian to the bit at every finite t, so the closed
+    # form's unitary factor takes matexp's eigendecomposition route even
+    # at t = 1e200, where the old per-point symmetry gate misfired.
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_gives_a_finite_report(self, tmp_path, mode):
+        out = tmp_path / "report.csv"
+        cfg = random_basis_config(tmp_path, [0.0, 1.0, 1e200])
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        assert far_report(out, mode, [0.0, 1.0, 1e200])[-1][-1] == "inf"
+
+    def test_closed_form_takes_no_pade(self, tmp_path, monkeypatch):
+        calls = []
+        pade = linalg._pade_expm
+        monkeypatch.setattr(linalg, "_pade_expm", lambda a: calls.append(a) or pade(a))
+        cfg = random_basis_config(tmp_path, [0.0, 1.0, 1e200])
+        assert cli.main(["run", "--config", str(cfg), "--mode", "approx-only",
+                         "--out", str(tmp_path / "report.csv")]) == 0
+        assert not calls
 
 
 class TestPresets:

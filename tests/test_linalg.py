@@ -72,14 +72,20 @@ def test_matexp_inverse_pair():
         assert np.linalg.norm(prod - np.eye(4)) <= 1e-10
 
 
-def test_matexp_anti_hermitian_path_agrees_and_is_unitary():
+def test_matexp_anti_hermitian_path_agrees_and_is_unitary(monkeypatch):
+    # An exactly anti-Hermitian complex input takes the eigendecomposition
+    # route, never Pade, and agrees with Pade's exponential of it.
     rng = np.random.default_rng(37)
-    for _ in range(6):
-        a = 1j * rand_hermitian(5, rng, scale=2.0)
-        general = linalg.matexp(a)
-        eig_path = linalg.matexp(a, assume="anti_hermitian")
-        assert np.linalg.norm(general - eig_path) <= 1e-10
-        u = eig_path
+    inputs = [1j * rand_hermitian(5, rng, scale=2.0) for _ in range(6)]
+    general = [linalg._pade_expm(a) for a in inputs]
+
+    def boom(a):
+        raise AssertionError("an anti-Hermitian input took the Pade route")
+
+    monkeypatch.setattr(linalg, "_pade_expm", boom)
+    for a, ref in zip(inputs, general):
+        u = linalg.matexp(a)
+        assert np.linalg.norm(ref - u) <= 1e-10
         assert np.linalg.norm(u.conj().T @ u - np.eye(5)) <= 1e-10
 
 
@@ -90,15 +96,17 @@ def test_matexp_rejects_bad_inputs():
     bad[0, 0] = np.nan
     with pytest.raises(InvalidInputError):
         linalg.matexp(bad)
-    with pytest.raises(InvalidInputError):
-        linalg.matexp(np.array([[0.0, 1.0], [0.0, 0.0]]), assume="anti_hermitian")
 
 
-def test_matexp_rejects_an_overflowing_symmetry_residual():
-    # ||m||_F overflows, so the relative residual is NaN, which must fail
-    # the gate rather than return a wrong "unitary".
-    with pytest.raises(InvalidInputError, match="symmetry gate"):
-        linalg.matexp(1j * np.array([[0.0, 1e200], [0.0, 0.0]]), assume="anti_hermitian")
+def test_matexp_takes_pade_unless_exactly_anti_hermitian(monkeypatch):
+    # i N is complex but not anti-Hermitian; N is nilpotent, so the true
+    # exponential is I + i N, which no unitary route could return.
+    calls = []
+    pade = linalg._pade_expm
+    monkeypatch.setattr(linalg, "_pade_expm", lambda a: calls.append(a) or pade(a))
+    a = 1j * np.array([[0.0, 3.0], [0.0, 0.0]])
+    assert_allclose(linalg.matexp(a), np.eye(2) + a, rtol=0, atol=1e-15)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("nu, degree", [(0.0, 0), (1.0, 18), (3.0, 28)])
@@ -146,3 +154,15 @@ def test_hermiticity_residual_of_a_matrix_is_a_float():
     assert type(linalg.hermiticity_residual(np.eye(3))) is float
     # Relative to max(1, ||m||_F): ||m - m^dag||_F = sqrt(2) for this m.
     assert linalg.hermiticity_residual([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(np.sqrt(2))
+
+
+@pytest.mark.parametrize("m, expected", [
+    ([[0.0, 1e200], [0.0, 0.0]], math.sqrt(2.0)),      # ||m||_F^2 overflows
+    ([[1.0, 1e308], [-1e308, 0.0]], 2.0),              # m - m^dag overflows too
+    ([[0.0, 1.7e308 * (1 + 1j)], [0.0, 0.0]], math.sqrt(2.0)),  # |entry| overflows
+])
+def test_hermiticity_residual_stays_relative_past_the_float_range(m, expected):
+    assert linalg.hermiticity_residual(m) == pytest.approx(expected, rel=1e-15)
+    assert_allclose(linalg.hermiticity_residual(np.array([m, m])), [expected] * 2,
+                    rtol=1e-15, atol=0)
+

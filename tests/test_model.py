@@ -14,6 +14,7 @@ from oracles import (
     rand_hermitian,
     rand_orthogonal_projectors,
     rand_ranks,
+    rand_unitary,
     taylor_expm,
 )
 
@@ -22,7 +23,7 @@ HADAMARD_PLUS = 0.5 * np.ones((2, 2), dtype=complex)   # |+><+|
 HADAMARD_MINUS = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
 # Symmetric, but P @ P overflows to a NaN idempotency residual.
 OVERFLOWING_PROJECTOR = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
-# ||m||_F overflows, so the relative Hermiticity residual is inf / inf = NaN.
+# ||m||_F^2 overflows; the relative Hermiticity residual is still sqrt(2).
 OVERFLOWING_NON_HERMITIAN = np.array([[0.0, 1e200], [0.0, 0.0]])
 
 
@@ -83,8 +84,23 @@ class TestHamiltonian:
             model.Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_an_overflowing_hermiticity_residual(self):
-        with pytest.raises(InvalidInputError, match=r"residual nan"):
+        with pytest.raises(InvalidInputError, match=r"residual 1\.414e\+00"):
             model.Hamiltonian(OVERFLOWING_NON_HERMITIAN)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e200])
+    def test_accepts_a_hermitian_matrix_whose_squared_norm_overflows(self, scale):
+        # Hermitian to rounding; from 1e155 on ||m||_F^2 overflows, but the
+        # relative defect does not grow with the scale.
+        q = rand_unitary(4, np.random.default_rng(5))
+        h0 = q.conj().T @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q
+        assert 0.0 < linalg.hermiticity_residual(h0) <= 1e-15
+        assert model.Hamiltonian(scale * h0).dim == 4
+        single = linalg.hermiticity_residual(scale * h0)
+        assert 0.0 < single <= 1e-15
+        refused = np.pad(OVERFLOWING_NON_HERMITIAN, ((0, 2), (0, 2)))
+        stack = linalg.hermiticity_residual(np.stack([scale * h0, h0, refused]))
+        assert_allclose(stack, [single, linalg.hermiticity_residual(h0), np.sqrt(2.0)],
+                        rtol=1e-14, atol=0)
 
 
 class TestValidateFamily:

@@ -336,6 +336,73 @@ class TestExactWalk:
                 assert np.linalg.norm(lab - single) <= 1e-12
 
 
+class TestFrame:
+    def test_frame_is_exactly_hermitian(self):
+        # Projectors cut from a random unitary: V^dag H V and V^dag rho0 V
+        # are Hermitian only to rounding, the frame's H' and X0 to the bit.
+        rng = np.random.default_rng(29)
+        rounded = 0
+        for _ in range(20):
+            scen = rand_scenario(rng, max_dim=8)
+            frame = propagators._frame(scen)
+            assert np.array_equal(frame.h, frame.h.conj().T)
+            assert np.array_equal(frame.x0, frame.x0.conj().T)
+            raw = frame.v.conj().T @ scen.hamiltonian.matrix @ frame.v
+            rounded += not np.array_equal(raw, raw.conj().T)
+        assert rounded
+
+    def test_kernels_take_no_hermitian_part(self, monkeypatch):
+        # The frame decides Hermiticity once; neither exact kernel redoes it.
+        scen = rand_scenario(np.random.default_rng(31))
+        frame = propagators._frame(scen)
+        parts = counting(monkeypatch, propagators, "_hermitian_part")
+        grid = np.linspace(0.0, 2.0, 12)
+        for states in (taylor_states, ladder_states):
+            assert np.concatenate(list(states(frame, grid))).shape == (12, scen.dim, scen.dim)
+        assert not parts
+
+    def test_closed_form_never_takes_pade(self, monkeypatch):
+        # -i t H' is anti-Hermitian to the bit at every finite t, so each
+        # unitary factor takes matexp's eigendecomposition route.
+        pade = counting(monkeypatch, linalg, "_pade_expm")
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            frame = propagators._frame(rand_scenario(rng, max_dim=8))
+            list(propagators._approx_states(frame, [0.0, 1e-3, 1.0, 1e8, 1e200]))
+        assert not pade
+
+    def test_generator_norm_is_bounded_by_nu(self):
+        # ||M||_2 <= nu for the real generator M of the dense kernel: n from
+        # 1 to 8, no projector to n of them, spanning and non-spanning
+        # families (one of rank n among them), generic and commuting H.
+        rng = np.random.default_rng(47)
+        for trial in range(100):
+            n = 1 + trial % 8
+            if trial % 4 == 0:
+                ranks = [n]
+            else:
+                k = int(rng.integers(0, n + 1))
+                ranks = rand_ranks(n, k, rng) if k else []
+                if ranks and trial % 4 == 1 and sum(ranks) == n and ranks[-1] > 1:
+                    ranks[-1] -= 1
+            ps = rand_orthogonal_projectors(n, ranks, rng)
+            scale = 10.0 ** rng.uniform(-2.0, 2.0)
+            h = rand_hermitian(n, rng, scale)
+            if trial % 5 == 0:
+                # Commutes with every projector: block diagonal in their basis.
+                blocks = ps + [np.eye(n) - sum(ps, np.zeros((n, n)))]
+                h = sum(b @ h @ b for b in blocks)
+                h = (h + h.conj().T) / 2.0
+            members = [(p, float(10.0 ** rng.uniform(-2.0, 2.0))) for p in ps]
+            frame = propagators._frame(make_scenario(h, members, rand_density(n, rng), dim=n))
+            nu = propagators._norm_bound(frame)
+            q, pairs = propagators._traceless_basis(n)
+            basis = propagators._traceless(np.eye(n * n - 1), q, pairs)
+            gen = propagators._coordinates(propagators._generator(frame)(basis), q, pairs).T
+            norm = np.linalg.norm(gen, 2) if gen.size else 0.0
+            assert norm <= nu * (1.0 + 1e-13), (trial, norm, nu)
+
+
 class TestApproxClosed:
     def test_t_zero_returns_initial_state(self):
         out = propagators.approx_propagate_closed(DEPHASING, 0.0)
