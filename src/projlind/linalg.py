@@ -1,9 +1,10 @@
 """Dense matrix kernel.
 
-The Hermiticity gate and Hermitian part, the matrix exponential and the
-Taylor series shared by both exact kernels, on plain ``numpy`` arrays:
-``complex128``, except that :func:`matexp` keeps ``float64`` input real.
-Every function is pure; inputs are never modified.
+The Hermiticity gate and Hermitian part, the Taylor series shared by both
+exact kernels, the dense kernel's Taylor polynomial and the closed form's
+unitary exponential, on plain ``numpy`` arrays: ``complex128``, except that
+the polynomial keeps its input's dtype. Every function is pure; inputs are
+never modified.
 """
 
 from __future__ import annotations
@@ -17,26 +18,8 @@ from .exceptions import DimensionError, InvalidInputError
 #: Tolerance of every validation gate in the package (relative for Hermiticity).
 VALIDATION_TOL = 1e-10
 
-# Diagonal Pade approximant coefficients and the 1-norm thresholds below
-# which each degree keeps the exponential at machine accuracy.
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0),
-}
-_PADE_THETA = (
-    (3, 0.01495585217958292),
-    (5, 0.2539398330063230),
-    (7, 0.9504178996162932),
-    (9, 2.097847961257068),
-    (13, 5.371920351148152),
-)
+#: 1/k! for k = 0..18, the coefficients of the Taylor polynomial of degree 18.
+_INV_FACTORIALS = tuple(1.0 / math.factorial(k) for k in range(19))
 
 
 def hermiticity_residual(m) -> float | np.ndarray:
@@ -78,39 +61,6 @@ def _hermitian_part(m) -> np.ndarray:
     return a + a.conj().swapaxes(-1, -2)
 
 
-def _pade_expm(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with a diagonal Pade approximant.
-
-    Degree is chosen from the 1-norm of the input; norms above the degree-13
-    threshold are scaled down by a power of two and squared back. The
-    arithmetic stays in the input's dtype, so a real input stays real.
-    """
-    n = a.shape[0]
-    ident = np.eye(n, dtype=a.dtype)
-    norm = np.linalg.norm(a, 1)
-
-    squarings = 0
-    if norm > _PADE_THETA[-1][1]:
-        squarings = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[-1][1]))))
-        a = a / (2.0 ** squarings)
-        degree = 13
-    else:
-        degree = next(m for m, theta in _PADE_THETA if norm <= theta)
-
-    # Even powers I, A^2, A^4, ...; U collects odd coefficients, V even.
-    c = _PADE_COEFFS[degree]
-    powers = [ident, a @ a]
-    for _ in range((degree - 1) // 2 - 1):
-        powers.append(powers[-1] @ powers[1])
-    u = a @ sum(c[j] * powers[(j - 1) // 2] for j in range(1, degree + 1, 2))
-    v = sum(c[j] * powers[j // 2] for j in range(0, degree + 1, 2))
-
-    out = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def _taylor_action(step, nu: float, x) -> list:
     """The terms x, S x, S^2 x / 2!, ..., S^k x / k! of the truncated Taylor
     series of exp(S) x, for an operator S with a norm bound ``nu`` >= ||S||;
@@ -135,22 +85,43 @@ def _taylor_action(step, nu: float, x) -> list:
     return terms
 
 
-def matexp(m) -> np.ndarray:
-    """Matrix exponential exp(m) of a square matrix with finite entries.
+def _taylor_expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a square ``a`` with ||a||_2 < 1, in the dtype of ``a``.
 
-    ``float64`` input stays real; anything else is computed in
-    ``complex128``. A complex input that equals minus its conjugate
-    transpose to the bit, m = i h with h Hermitian, takes one
-    eigendecomposition of h, so its result is unitary to rounding; every
-    other input takes scaling-and-squaring Pade.
+    The Taylor polynomial of degree 18, sum_k a^k / k!, in Paterson-Stockmeyer
+    form (SIAM J. Comput. 2 (1973)): blocks B_j = sum_i a^i / (4j + i)! of
+    degree at most 3, summed by Horner's rule in a^4, so it takes 7 matrix
+    products. Its remainder sum_{k > 18} ||a||^k / k! is below
+    (20/19) / 19! < u/2, u the unit roundoff: the stopping bound of
+    :func:`_taylor_action` at nu = 1, where that series also stops at
+    degree 18.
+    """
+    a2 = a @ a
+    powers = (np.eye(a.shape[0], dtype=a.dtype), a, a2, a2 @ a)
+    a4 = a2 @ a2
+    blocks = [sum(c * p for c, p in zip(_INV_FACTORIALS[k:k + 4], powers))
+              for k in range(0, 19, 4)]
+    out = blocks.pop()
+    while blocks:
+        out = a4 @ out + blocks.pop()
+    return out
+
+
+def matexp(m) -> np.ndarray:
+    """exp(m) of a square ``complex128`` matrix that equals minus its
+    conjugate transpose to the bit, m = i h with h Hermitian, from one
+    eigendecomposition of h, so the result is unitary to rounding.
+
+    Every other input raises :class:`InvalidInputError`, a real one
+    included: this is the closed form's exp(-i t H'), and the exact kernels
+    take their exponentials by Taylor series.
     """
     a = np.asarray(m)
-    a = a.astype(float if a.dtype == np.float64 else complex, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matexp input contains NaN or Inf entries")
-    if a.dtype == complex and np.array_equal(a, -a.conj().T):
-        w, v = np.linalg.eigh(-1j * a)
-        return (v * np.exp(1j * w)) @ v.conj().T
-    return _pade_expm(a)
+    if a.dtype != complex or not np.array_equal(a, -a.conj().T):
+        raise InvalidInputError("matexp input must be complex and exactly anti-Hermitian")
+    w, v = np.linalg.eigh(-1j * a)
+    return (v * np.exp(1j * w)) @ v.conj().T

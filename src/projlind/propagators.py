@@ -21,9 +21,11 @@ bit; a state rho appears in it as V^dag rho V.
 
 There the factorized state is U' (exp(-tG) o X0) U'^dag with
 U' = exp(-i t H'), one eigendecomposition of H' per time point: -i t H' is
-anti-Hermitian to the bit at every finite t, so
-:func:`projlind.linalg.matexp` takes its unitary route. The Schur
-factor is the paper's pair expansion prod_j (1 + (e^{-lambda_j t/2} - 1) R_j),
+anti-Hermitian to the bit at every finite t, the one input that
+:func:`projlind.linalg.matexp` takes. Where t H' overflows, there is no
+factor to take, and the closed form raises an error that gives that t.
+The Schur factor is the paper's pair expansion
+prod_j (1 + (e^{-lambda_j t/2} - 1) R_j), with
 R_j = P_j kron Q_j^T + Q_j kron P_j^T, summed in closed form; the literal
 product and the multiplied-out pair sum are independent oracles in the test
 suite. The dropped Baker-Campbell-Hausdorff term starts at -(1/2) [tA, tB],
@@ -98,27 +100,29 @@ base beta: the first positive grid time scaled by a power of two to
 1/2 <= beta nu < 1. (A base far below 1/nu would carry the rounding of
 E_0 through more squarings than the walk needs.) An advance of m cells
 applies E_j for each set bit of m, on one ladder of squarings:
-E_0 = exp(beta M) is the scenario's one Pade exponential, through
-:func:`projlind.linalg.matexp`, and E_{j+1} = E_j E_j is squared only as
-far as the largest advance needs. A cell's series has the bound
+E_0 = exp(beta M) is the scenario's one matrix polynomial,
+:func:`projlind.linalg._taylor_expm`: the Taylor polynomial of degree 18,
+whose remainder at ||beta M||_2 <= beta nu < 1 is below the series'
+stopping bound, in 7 matrix products. E_{j+1} = E_j E_j is squared only as
+far as the largest advance needs. A cell's series has the same bound
 beta nu < 1, at most degree 18, and takes matrix-vector products only.
 Every point of a uniform grid from 0 with a step of at least 1/(2 nu) is
 a lattice point, so such a grid takes no series and costs the
-exponential and the squarings up to its step; a finer one takes a series
+polynomial and the squarings up to its step; a finer one takes a series
 for each cell that holds one of its points. Each state
 1/n + sum_k x_k F_k is Hermitian by construction and has trace 1 to
-rounding, however stiff t L is. Its cost, O(n^6) for the Pade
-exponential and the squarings, hardly depends on the grid. An advance
-whose squarings overflow, as when t ||H|| is so far beyond 1/u that they
-amplify nothing but rounding, raises an error that gives the t nu it
-spans instead of yielding non-finite states.
+rounding, however stiff t L is. Its cost, O(n^6) for the polynomial and
+the squarings, hardly depends on the grid. An advance whose squarings
+overflow, as when t ||H|| is so far beyond 1/u that they amplify nothing
+but rounding, raises an error that gives the t nu it spans instead of
+yielding non-finite states.
 
 A scenario's exact states come from the matrix-free kernel when
 
     17 (t nu + b) <= n^3 / 3
 
 for a grid of b points ending at t: the Taylor kernel's n x n products
-against the dense kernel's build, Pade exponential and squarings, in units
+against the dense kernel's build, polynomial and squarings, in units
 of n^3, as measured on one BLAS thread. Its 17 is the terms per unit of
 t nu of substeps with tau nu <= 1, about twice the lattice's 9.3, so the
 rule errs toward the dense kernel; at n = 10 the two kernels measure about
@@ -151,7 +155,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .linalg import _hermitian_part, _taylor_action, matexp
+from .linalg import _hermitian_part, _taylor_action, _taylor_expm, matexp
 from .model import Scenario
 
 #: Most time points in one stack of states; bounds the memory of a sweep.
@@ -270,11 +274,18 @@ def _approx_states(frame: _Frame, times):
     """Yield the factorized states U' (exp(-tG) o X0) U'^dag in the frame
     at the ``times``, one (b, n, n) stack per chunk."""
     for chunk in _chunks(times):
-        # Exactly anti-Hermitian, so each factor is unitary to rounding.
-        u = np.stack([matexp(-1j * t * frame.h) for t in chunk])
-        # t G may overflow to inf, where the decay is exactly 0.
+        ts = np.array(chunk)[:, None, None]
+        # -i t H' is exactly anti-Hermitian, so each factor is unitary to
+        # rounding; where t H' overflows there is no factor to take. t G may
+        # overflow to inf, where the decay is exactly 0.
         with np.errstate(over="ignore"):
-            decayed = np.exp(-np.array(chunk)[:, None, None] * frame.g) * frame.x0
+            gens = -1j * ts * frame.h
+            decayed = np.exp(-ts * frame.g) * frame.x0
+        finite = np.isfinite(gens).all(axis=(1, 2))
+        if not finite.all():
+            raise FloatingPointError("closed-form propagator overflows at t = "
+                                     f"{chunk[np.argmin(finite)]:.3g}")
+        u = np.stack([matexp(a) for a in gens])
         yield u @ decayed @ u.conj().swapaxes(-1, -2)
 
 
@@ -421,11 +432,11 @@ def _ladder_states(frame: _Frame, times, nu: float):
 
     def lattice(t):
         # t nu = f 2^e with 1/2 <= f < 1, so beta nu = f; e is taken from
-        # the factors, since t nu may overflow. E_0 = exp(beta M) is the
-        # scenario's one Pade exponential.
+        # the factors, since t nu may overflow. E_0 = exp(beta M), with
+        # ||beta M||_2 <= beta nu < 1, is the scenario's one polynomial.
         (ft, et), (fn, en) = math.frexp(t), math.frexp(nu)
         beta = math.ldexp(t, -(math.frexp(ft * fn)[1] + et + en))
-        ladder = [matexp(beta * gen)]
+        ladder = [_taylor_expm(beta * gen)]
 
         def series(y):
             return np.array(_taylor_action(lambda z, k: (beta / k) * (gen @ z), beta * nu, y))

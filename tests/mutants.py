@@ -38,6 +38,7 @@ DECAY = "tests/test_cli.py::TestExtremeValidConfigs::" \
         "test_decay_past_the_float_range_gives_a_finite_report"
 GATE = "tests/test_analysis.py::TestTraceDistance::test_stack_gates_every_member[rho]"
 SWEEP = "tests/test_analysis.py::TestSweep::"
+EXPM_40 = "tests/test_linalg.py::test_taylor_expm_matches_40_digit_reference"
 
 
 class Mutant(NamedTuple):
@@ -108,8 +109,8 @@ MUTANTS = (
            ("tests/test_propagators.py::TestExactWalk::"
             "test_uniform_grid_takes_one_exponential[2.0-12]",)),
     Mutant("one-decay-per-chunk", "src/projlind/propagators.py",
-           "decayed = np.exp(-np.array(chunk)[:, None, None] * frame.g) * frame.x0",
-           "decayed = np.exp(-chunk[0] * frame.g) * frame.x0",
+           "decayed = np.exp(-ts * frame.g) * frame.x0",
+           "decayed = np.exp(-ts[0] * frame.g) * frame.x0",
            (SWEEP + "test_commuting_scenario_all_small",)),
     Mutant("bool-guard-off", "src/projlind/config.py",
            'return doc, "true" not in text and "false" not in text', "return doc, True",
@@ -137,12 +138,22 @@ MUTANTS = (
            "return _Frame(v, g, vh @ scenario.hamiltonian.matrix @ v,\n"
            "                  vh @ scenario.initial_state.matrix @ v)",
            ("tests/test_propagators.py::TestFrame::test_frame_is_exactly_hermitian",
-            "tests/test_cli.py::TestRandomBasisFarTime::test_closed_form_takes_no_pade")),
+            "tests/test_cli.py::TestRandomBasisFarTime::test_gives_a_finite_report[approx-only]")),
     Mutant("decay-product-warns", "src/projlind/propagators.py",
-           'with np.errstate(over="ignore"):\n            decayed',
-           "if True:\n            decayed",
+           'with np.errstate(over="ignore"):\n            gens',
+           "if True:\n            gens",
            (DECAY + "[driven-qubit-4.0-grid0-approx-only]",
             DECAY + "[driven-qubit-1e+300-grid3-compare]")),
+    Mutant("taylor-expm-degree-15", "src/projlind/linalg.py",
+           "for k in range(0, 19, 4)]", "for k in range(0, 16, 4)]",
+           (EXPM_40,)),
+    Mutant("taylor-expm-horner-in-a2", "src/projlind/linalg.py",
+           "out = a4 @ out + blocks.pop()", "out = a2 @ out + blocks.pop()",
+           (EXPM_40,)),
+    Mutant("closed-form-overflow-unchecked", "src/projlind/propagators.py",
+           "        if not finite.all():\n", "        if False:\n",
+           ("tests/test_cli.py::TestExtremeValidConfigs::"
+            "test_closed_form_names_the_overflow_of_t_h[approx-only]",)),
     Mutant("residual-not-rescaled", "src/projlind/linalg.py",
            "a = a / 2.0 ** np.maximum(np.frexp(largest)[1] - 1, 0)", "a = a + 0.0 * largest",
            ("tests/test_model.py::TestHamiltonian::"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from projlind import analysis, cli, config, linalg, presets, propagators
+from projlind import analysis, cli, config, presets, propagators
 from projlind.model import DensityMatrix, Hamiltonian, ProjectorFamily, Scenario
 
 NON_ORTHOGONAL = {
@@ -125,9 +125,9 @@ class TestRun:
             raise AssertionError("no n^2 x n^2 work may run in approx-only mode")
 
         monkeypatch.setattr("projlind.analysis._exact_states", boom)
-        # Nor is anything exponentiated by Pade: the closed form's unitary
-        # factor takes matexp's eigendecomposition route, never this one.
-        monkeypatch.setattr("projlind.linalg._pade_expm", boom)
+        # Nor does the dense kernel's polynomial run: the closed form's
+        # unitary factor is matexp's eigendecomposition.
+        monkeypatch.setattr("projlind.propagators._taylor_expm", boom)
         assert cli.main(["run", "--config", str(cfg), "--mode", "approx-only",
                          "--out", str(out)]) == 0
         rows = read_csv(out)
@@ -270,14 +270,16 @@ class TestNanResidual:
         assert not out.exists()
 
 
-def driven_qubit_with(tmp_path, hamiltonian=None, rate=None):
-    """The driven-qubit preset with its Hamiltonian or its projector's rate
-    replaced."""
+def driven_qubit_with(tmp_path, hamiltonian=None, rate=None, grid=None):
+    """The driven-qubit preset with its Hamiltonian, its projector's rate or
+    its time grid replaced."""
     doc = json.loads(presets.preset_text("driven-qubit"))
     if hamiltonian is not None:
         doc["hamiltonian"] = hamiltonian
     if rate is not None:
         doc["projectors"][0]["rate"] = rate
+    if grid is not None:
+        doc["time_grid"] = grid
     cfg = tmp_path / "extreme.json"
     cfg.write_text(json.dumps(doc))
     return cfg
@@ -350,6 +352,25 @@ class TestExtremeValidConfigs:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_closed_form_names_the_overflow_of_t_h(self, tmp_path, capsys, mode):
+        # H = 2 sigma_x at t = 1e308: -i t H' overflows, so the closed form
+        # has no unitary factor to take and says so. The exact path forms no
+        # such product and reports.
+        out = tmp_path / "report.csv"
+        grid = [0.0, 1.0, 1e308]
+        cfg = driven_qubit_with(tmp_path, hamiltonian=[[[0.0, 0.0], [2.0, 0.0]],
+                                                       [[2.0, 0.0], [0.0, 0.0]]], grid=grid)
+        code = cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)])
+        if mode == "exact-only":
+            assert code == 0
+            far_report(out, mode, grid)
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == ("error: propagation failed: closed-form "
+                                               "propagator overflows at t = 1e+308\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
     @pytest.mark.parametrize("name", ["driven-qubit", "three-projector"])
     def test_grid_time_near_the_float_range_gives_a_finite_report(self, tmp_path, name, mode):
         # t / tau and -i t H' stay within the float range; only the
@@ -409,10 +430,10 @@ class TestRandomBasisFarTime:
         assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
         assert far_report(out, mode, [0.0, 1.0, 1e200])[-1][-1] == "inf"
 
-    def test_closed_form_takes_no_pade(self, tmp_path, monkeypatch):
+    def test_closed_form_takes_no_taylor_expm(self, tmp_path, monkeypatch):
         calls = []
-        pade = linalg._pade_expm
-        monkeypatch.setattr(linalg, "_pade_expm", lambda a: calls.append(a) or pade(a))
+        expm = propagators._taylor_expm
+        monkeypatch.setattr(propagators, "_taylor_expm", lambda a: calls.append(a) or expm(a))
         cfg = random_basis_config(tmp_path, [0.0, 1.0, 1e200])
         assert cli.main(["run", "--config", str(cfg), "--mode", "approx-only",
                          "--out", str(tmp_path / "report.csv")]) == 0

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,70 +24,35 @@ def test_vectorization_identity_random():
 
 
 def test_matexp_zero_is_identity():
-    assert_allclose(linalg.matexp(np.zeros((4, 4))), np.eye(4), atol=1e-15)
+    assert_allclose(linalg.matexp(np.zeros((4, 4), dtype=complex)), np.eye(4), atol=1e-15)
 
 
 def test_matexp_diagonal():
-    out = linalg.matexp(np.diag([0.3, -1.2]))
-    assert_allclose(out, np.diag([np.exp(0.3), np.exp(-1.2)]), rtol=1e-14)
-
-
-def test_matexp_nilpotent():
-    out = linalg.matexp(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert_allclose(out, [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
+    out = linalg.matexp(np.diag([0.3j, -1.2j]))
+    assert_allclose(out, np.diag([np.exp(0.3j), np.exp(-1.2j)]), rtol=1e-14)
 
 
 @pytest.mark.parametrize("target_norm", [0.01, 0.5, 3.0, 10.0, 100.0])
 def test_matexp_matches_series_oracle(target_norm):
+    # Exactly anti-Hermitian input, the only kind matexp takes: the result
+    # is the series oracle's, and unitary to rounding.
     rng = np.random.default_rng(int(target_norm * 100))
     for _ in range(4):
-        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        m = 1j * rand_hermitian(5, rng)
         m *= target_norm / np.linalg.norm(m)
         ref = taylor_expm(m)
-        assert np.linalg.norm(linalg.matexp(m) - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("target_norm", [0.01, 0.5, 3.0, 10.0])
-def test_matexp_keeps_float64_real(target_norm):
-    # A real generator stays real: no complex promotion, the same Pade
-    # route, and the same finiteness gate.
-    rng = np.random.default_rng(int(target_norm * 100) + 1)
-    for _ in range(4):
-        m = rng.normal(size=(6, 6))
-        m *= target_norm / np.linalg.norm(m)
-        out = linalg.matexp(m)
-        assert out.dtype == np.float64
-        ref = linalg.matexp(m.astype(complex))
-        assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
-    m[2, 3] = np.nan
-    with pytest.raises(InvalidInputError):
-        linalg.matexp(m)
+        u = linalg.matexp(m)
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(5)) <= 1e-13
 
 
 def test_matexp_inverse_pair():
     rng = np.random.default_rng(23)
     for _ in range(6):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = 1j * rand_hermitian(4, rng)
         m *= 10.0 / np.linalg.norm(m)
         prod = linalg.matexp(m) @ linalg.matexp(-m)
         assert np.linalg.norm(prod - np.eye(4)) <= 1e-10
-
-
-def test_matexp_anti_hermitian_path_agrees_and_is_unitary(monkeypatch):
-    # An exactly anti-Hermitian complex input takes the eigendecomposition
-    # route, never Pade, and agrees with Pade's exponential of it.
-    rng = np.random.default_rng(37)
-    inputs = [1j * rand_hermitian(5, rng, scale=2.0) for _ in range(6)]
-    general = [linalg._pade_expm(a) for a in inputs]
-
-    def boom(a):
-        raise AssertionError("an anti-Hermitian input took the Pade route")
-
-    monkeypatch.setattr(linalg, "_pade_expm", boom)
-    for a, ref in zip(inputs, general):
-        u = linalg.matexp(a)
-        assert np.linalg.norm(ref - u) <= 1e-10
-        assert np.linalg.norm(u.conj().T @ u - np.eye(5)) <= 1e-10
 
 
 def test_matexp_rejects_bad_inputs():
@@ -98,15 +64,66 @@ def test_matexp_rejects_bad_inputs():
         linalg.matexp(bad)
 
 
-def test_matexp_takes_pade_unless_exactly_anti_hermitian(monkeypatch):
-    # i N is complex but not anti-Hermitian; N is nilpotent, so the true
-    # exponential is I + i N, which no unitary route could return.
-    calls = []
-    pade = linalg._pade_expm
-    monkeypatch.setattr(linalg, "_pade_expm", lambda a: calls.append(a) or pade(a))
-    a = 1j * np.array([[0.0, 3.0], [0.0, 0.0]])
-    assert_allclose(linalg.matexp(a), np.eye(2) + a, rtol=0, atol=1e-15)
-    assert len(calls) == 1
+@pytest.mark.parametrize("m", [
+    # exp(m) = I + m, which no unitary is.
+    np.array([[0.0, 1e200], [0.0, 0.0]]),
+    1j * np.array([[0.0, 1e200], [0.0, 0.0]]),
+    # Real input, even anti-Hermitian or zero.
+    np.zeros((3, 3)),
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    np.diag([0.3, -1.2]),
+    # Anti-Hermitian only to rounding.
+    np.array([[0.5j, 1.0 + 2.0j], [-1.0 + 2.0j + 1e-16, -0.25j]]),
+    np.array([[0.5j, 1.0 + 2.0j], [-1.0 + 2.0j, 1e-300 - 0.25j]]),
+])
+def test_matexp_refuses_all_but_exactly_anti_hermitian_input(m):
+    with pytest.raises(InvalidInputError, match="exactly anti-Hermitian"):
+        linalg.matexp(m)
+
+
+def test_taylor_expm_of_zero_and_of_a_nilpotent_is_exact():
+    for n in (1, 4):
+        assert np.array_equal(linalg._taylor_expm(np.zeros((n, n))), np.eye(n))
+    a = np.array([[0.0, 0.5j], [0.0, 0.0]])
+    assert np.array_equal(linalg._taylor_expm(a), np.eye(2) + a)
+
+
+@pytest.mark.parametrize("target_norm", [0.01, 0.5, 0.99])
+def test_taylor_expm_keeps_float64_real(target_norm):
+    # A real generator stays real: no complex promotion, and the same
+    # numbers as the polynomial of its complex copy.
+    rng = np.random.default_rng(int(target_norm * 100) + 1)
+    for _ in range(4):
+        m = rng.normal(size=(6, 6))
+        m *= target_norm / np.linalg.norm(m, 2)
+        out = linalg._taylor_expm(m)
+        assert out.dtype == np.float64
+        ref = linalg._taylor_expm(m.astype(complex))
+        assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n, target_norm, kind", [
+    (1, 0.999, "general"), (2, 0.5, "anti-hermitian"), (3, 0.9, "general"),
+    (5, 0.75, "symmetric"), (8, 0.999, "anti-hermitian"), (15, 0.6, "general"),
+    (15, 0.999, "symmetric"),
+])
+def test_taylor_expm_matches_40_digit_reference(n, target_norm, kind):
+    # Within 1e-15 of mpmath's 40-digit exponential, relative in the
+    # 2-norm, for ||a||_2 in [0.5, 1): the polynomial's truncation is below
+    # u/2 there. Normal inputs have ||a^k||_2 = ||a||_2^k, so a polynomial
+    # of lower degree fails on them.
+    rng = np.random.default_rng(1000 * n + int(1000 * target_norm))
+    if kind == "general":
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    elif kind == "anti-hermitian":
+        a = 1j * rand_hermitian(n, rng)
+    else:
+        a = rand_hermitian(n, rng).real
+    a *= target_norm / np.linalg.norm(a, 2)
+    with mpmath.workdps(40):
+        ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+    out = linalg._taylor_expm(a)
+    assert np.linalg.norm(out - ref, 2) <= 1e-15 * np.linalg.norm(ref, 2)
 
 
 @pytest.mark.parametrize("nu, degree", [(0.0, 0), (1.0, 18), (3.0, 28)])

@@ -191,7 +191,7 @@ class TestExactWalk:
         # Steps of dt nu >= 1/2 put every grid point on the ladder's lattice
         # up to its rounding, so no cell takes a Taylor series: a point just
         # short of a lattice point is that point, not one inside a cell.
-        pade = counting(monkeypatch, linalg, "_pade_expm")
+        expm = counting(monkeypatch, propagators, "_taylor_expm")
         taylor = counting(monkeypatch, propagators, "_taylor_action")
         rng = np.random.default_rng(3)
         scen = rand_scenario(rng)
@@ -199,7 +199,7 @@ class TestExactWalk:
                               np.linspace(0.0, stop, count))
         records = analysis.sweep(scen, "exact-only")
         assert len(records) == count
-        assert [a.shape for a, in pade] == [(scen.dim ** 2 - 1,) * 2]
+        assert [a.shape for a, in expm] == [(scen.dim ** 2 - 1,) * 2]
         assert taylor == []
 
     @pytest.mark.parametrize("start", [0.0, 0.5])
@@ -208,14 +208,14 @@ class TestExactWalk:
         # ladder's lattice: each such cell takes one Taylor series, and the
         # walk crosses it by the series' sum. From 0 and from an offset
         # start alike, the ladder takes one exponential.
-        pade = counting(monkeypatch, linalg, "_pade_expm")
+        expm = counting(monkeypatch, propagators, "_taylor_expm")
         taylor = counting(monkeypatch, propagators, "_taylor_action")
         rng = np.random.default_rng(3)
         scen = rand_scenario(rng)
         grid = np.linspace(start, 2.0, 400)
         frame = propagators._frame(scen)
         walked = np.concatenate(list(propagators._exact_states(frame, grid)))
-        assert len(pade) == 1
+        assert len(expm) == 1
         # beta: the first positive time scaled by 2^k to 1/2 <= beta nu < 1.
         nu = propagators._norm_bound(frame)
         beta = grid[grid > 0][0]
@@ -256,18 +256,18 @@ class TestExactWalk:
 
     def test_log_grid_takes_one_exponential(self, monkeypatch):
         # Every step of a log grid differs; the ladder serves them all.
-        pade = counting(monkeypatch, linalg, "_pade_expm")
+        expm = counting(monkeypatch, propagators, "_taylor_expm")
         rng = np.random.default_rng(19)
         scen = rand_scenario(rng)
         scen = model.Scenario(scen.hamiltonian, scen.family, scen.initial_state,
                               np.geomspace(1e-2, 500.0, 16))
         assert len(analysis.sweep(scen, "compare")) == 16
-        assert len(pade) == 1
+        assert len(expm) == 1
 
     def test_ladder_takes_one_bound(self, monkeypatch):
         # nu >= ||M||_2 sets the ladder's base and bounds every cell's
         # Taylor series; the points of a log grid fall inside cells.
-        pade = counting(monkeypatch, linalg, "_pade_expm")
+        expm = counting(monkeypatch, propagators, "_taylor_expm")
         # Each call's bound, first term S x and x, recorded at the call.
         taylor = []
         action = propagators._taylor_action
@@ -289,7 +289,7 @@ class TestExactWalk:
         gen = propagators._coordinates(-1j * (h @ basis - basis @ h) - frame.g * basis,
                                        q, pairs).T
         assert np.linalg.norm(gen, 2) <= nu
-        [(a,)] = pade
+        [(a,)] = expm
         beta = np.vdot(gen, a) / np.vdot(gen, gen)
         assert np.linalg.norm(a - beta * gen) <= 1e-14 * np.linalg.norm(a)
         assert 0.5 <= beta * nu < 1.0
@@ -361,20 +361,33 @@ class TestFrame:
             assert np.concatenate(list(states(frame, grid))).shape == (12, scen.dim, scen.dim)
         assert not parts
 
-    def test_closed_form_never_takes_pade(self, monkeypatch):
+    def test_closed_form_never_takes_taylor_expm(self, monkeypatch):
         # -i t H' is anti-Hermitian to the bit at every finite t, so each
-        # unitary factor takes matexp's eigendecomposition route.
-        pade = counting(monkeypatch, linalg, "_pade_expm")
+        # unitary factor is matexp's eigendecomposition.
+        expm = counting(monkeypatch, propagators, "_taylor_expm")
         rng = np.random.default_rng(37)
         for _ in range(10):
             frame = propagators._frame(rand_scenario(rng, max_dim=8))
             list(propagators._approx_states(frame, [0.0, 1e-3, 1.0, 1e8, 1e200]))
-        assert not pade
+        assert not expm
 
-    def test_generator_norm_is_bounded_by_nu(self):
+    def test_generator_norm_is_bounded_by_nu(self, monkeypatch):
         # ||M||_2 <= nu for the real generator M of the dense kernel: n from
         # 1 to 8, no projector to n of them, spanning and non-spanning
-        # families (one of rank n among them), generic and commuting H.
+        # families (one of rank n among them), generic and commuting H. So
+        # the ladder's polynomial E_0 = exp(beta M) gets ||beta M||_2 < 1
+        # whatever first positive time sets beta.
+        norms = []
+
+        class Recorded(Exception):
+            pass
+
+        def recorded(a):
+            # E_0's input is all this test reads, so the walk stops there.
+            norms.append(np.linalg.norm(a, 2) if a.size else 0.0)
+            raise Recorded
+
+        monkeypatch.setattr(propagators, "_taylor_expm", recorded)
         rng = np.random.default_rng(47)
         for trial in range(100):
             n = 1 + trial % 8
@@ -401,6 +414,11 @@ class TestFrame:
             gen = propagators._coordinates(propagators._generator(frame)(basis), q, pairs).T
             norm = np.linalg.norm(gen, 2) if gen.size else 0.0
             assert norm <= nu * (1.0 + 1e-13), (trial, norm, nu)
+            for t in (5e-324, 1e-300, 1.0, 1e308):
+                with pytest.raises(Recorded):
+                    next(propagators._ladder_states(frame, [t], nu))
+        assert len(norms) == 400
+        assert max(norms) < 1.0
 
 
 class TestApproxClosed:
@@ -545,8 +563,8 @@ class TestBchInteractionTerm:
         for t in (0.2, 0.1, 0.05):
             a, b = t * a_gen, t * b_gen
             inter = bch_interaction_term(a, b)
-            lhs = linalg.matexp(a) @ linalg.matexp(inter) @ linalg.matexp(b)
-            residuals.append(np.linalg.norm(lhs - linalg.matexp(a + b)))
+            lhs = taylor_expm(a) @ taylor_expm(inter) @ taylor_expm(b)
+            residuals.append(np.linalg.norm(lhs - taylor_expm(a + b)))
         assert residuals[0] > 0
         for r_big, r_small in zip(residuals, residuals[1:]):
             assert 10.0 <= r_big / r_small <= 22.0
@@ -726,9 +744,9 @@ class TestMatrixFreeKernel:
         picks = [chosen_kernel(monkeypatch, scen) for scen in scens]
         assert picks == ["_ladder_states"] * 2 + ["_taylor_states"] * 4
 
-    def test_n64_commuting_sweep_takes_no_pade(self, monkeypatch):
+    def test_n64_commuting_sweep_takes_no_taylor_expm(self, monkeypatch):
         # H commutes with every projector, so the closed form is exact.
-        pade = counting(monkeypatch, linalg, "_pade_expm")
+        expm = counting(monkeypatch, propagators, "_taylor_expm")
         rng = np.random.default_rng(64)
         n = 64
         ps = rand_orthogonal_projectors(n, [8, 16, 4, 20], rng)
@@ -736,7 +754,7 @@ class TestMatrixFreeKernel:
         h = sum((float(rng.normal()) * p for p in ps), np.zeros((n, n), complex))
         scen = make_scenario(h, members, rand_density(n, rng), np.linspace(0.0, 2.0, 12))
         records = analysis.sweep(scen, "compare")
-        assert pade == []
+        assert expm == []
         assert len(records) == 12
         assert max(r.frobenius_gap for r in records) <= 1e-12
 
