@@ -253,20 +253,16 @@ def projector_from_vectors(vectors) -> np.ndarray:
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vs:
         raise InvalidInputError("need at least one vector")
-    n = vs[0].size
-    if any(v.size != n for v in vs):
+    if any(v.size != vs[0].size for v in vs):
         raise DimensionError("vectors have mixed lengths")
+    a = np.array(vs)
     # Entries near the float limit overflow to a NaN residual, which the
     # gate below rejects; numpy need not warn about it as well.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.array([[vj.conj() @ vk for vk in vs] for vj in vs])
-        residual = np.linalg.norm(gram - np.eye(len(vs)))
+        residual = np.linalg.norm(a.conj() @ a.T - np.eye(len(a)))
     if not residual <= VALIDATION_TOL:
         raise InvalidInputError(f"vectors are not orthonormal (Gram residual {residual:.3e})")
-    p = np.zeros((n, n), dtype=complex)
-    for v in vs:
-        p += np.outer(v, v.conj())
-    return p
+    return a.T @ a.conj()
 
 
 def hamiltonian_superop(h) -> np.ndarray:

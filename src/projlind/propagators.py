@@ -112,10 +112,22 @@ polynomial and the squarings up to its step; a finer one takes a series
 for each cell that holds one of its points. Each state
 1/n + sum_k x_k F_k is Hermitian by construction and has trace 1 to
 rounding, however stiff t L is. Its cost, O(n^6) for the polynomial and
-the squarings, hardly depends on the grid. An advance whose squarings
-overflow, as when t ||H|| is so far beyond 1/u that they amplify nothing
-but rounding, raises an error that gives the t nu it spans instead of
-yielding non-finite states.
+the squarings, hardly depends on the grid.
+
+exp(tM) is a contraction, so the dense kernel checks each chunk's
+coordinate vectors once, before they become states: an x_t that is not
+finite, or longer than ||x_0||_2 (1 + c n^2 u (1 + t nu)) with
+c = _CONTRACTION_SLACK, raises an error that gives t. That happens where
+the squarings amplify the rounding of an undamped mode (a conserved
+quantity or an undamped coherence, an eigenvalue of M on the imaginary
+axis) past the bound or until it overflows: E_0 rounds the modulus of its
+eigenvalue to 1 + O(u), and each squaring doubles the excess (Baumgartner
+& Narnhofer, J. Phys. A 41, 395303 (2008), on that peripheral spectrum).
+Decaying modes damp their own rounding. Short of the bound, no norm check
+sees the rounding of undamped modes: past t nu ~ 1e14 their phases carry
+about u t nu of it, on the closed form as well, and their moduli may
+shrink, or grow up to the bound. The matrix-free kernel takes no check: the cost rule gives it only
+t nu <= n^3 / 51, where its rounding stays near c n u t nu.
 
 A scenario's exact states come from the matrix-free kernel when
 
@@ -163,6 +175,11 @@ _CHUNK = 64
 
 #: tau nu of the matrix-free kernel's substeps.
 _THETA = 3.0
+
+#: c of the dense kernel's contraction check ||x_t|| <= ||x_0|| (1 + c n^2 u
+#: (1 + t nu)), u the unit roundoff: 20 times the largest excess over the
+#: walks of the test suite.
+_CONTRACTION_SLACK = 16.0
 
 
 class _Frame(NamedTuple):
@@ -276,16 +293,19 @@ def _approx_states(frame: _Frame, times):
     for chunk in _chunks(times):
         ts = np.array(chunk)[:, None, None]
         # -i t H' is exactly anti-Hermitian, so each factor is unitary to
-        # rounding; where t H' overflows there is no factor to take. t G may
-        # overflow to inf, where the decay is exactly 0.
+        # rounding; where t H' or its spectrum overflows there is no factor
+        # to take. t G may overflow to inf, where the decay is exactly 0.
         with np.errstate(over="ignore"):
             gens = -1j * ts * frame.h
             decayed = np.exp(-ts * frame.g) * frame.x0
         finite = np.isfinite(gens).all(axis=(1, 2))
+        if finite.all():
+            with np.errstate(invalid="ignore"):
+                u = np.stack([matexp(a) for a in gens])
+            finite = np.isfinite(u).all(axis=(1, 2))
         if not finite.all():
             raise FloatingPointError("closed-form propagator overflows at t = "
                                      f"{chunk[np.argmin(finite)]:.3g}")
-        u = np.stack([matexp(a) for a in gens])
         yield u @ decayed @ u.conj().swapaxes(-1, -2)
 
 
@@ -351,9 +371,9 @@ def _generator(frame: _Frame):
 
 
 def _lattice_walk(x, times, lattice):
-    """Yield the states at the ascending non-negative ``times``, one stack
-    per chunk, walking the state ``x`` from t = 0 along a lattice of points
-    j tau.
+    """Yield each chunk of the ascending non-negative ``times`` with the
+    stack of its states, walking the state ``x`` from t = 0 along a lattice
+    of points j tau.
 
     ``lattice(t)``, called at the first positive time t, returns tau and
     two functions: ``series(y)``, the stacked terms of the Taylor series of
@@ -392,7 +412,7 @@ def _lattice_walk(x, times, lattice):
                 states.append((weights @ terms.reshape(len(terms), -1)).reshape(x.shape))
             else:
                 states.append(x)
-        yield np.array(states)
+        yield chunk, np.array(states)
 
 
 def _taylor_states(frame: _Frame, times, nu: float):
@@ -417,7 +437,8 @@ def _taylor_states(frame: _Frame, times, nu: float):
             y = series(y).sum(0)
         return y
 
-    yield from _lattice_walk(frame.x0, times, lambda t: (tau, series, advance))
+    for _, states in _lattice_walk(frame.x0, times, lambda t: (tau, series, advance)):
+        yield states
 
 
 def _ladder_states(frame: _Frame, times, nu: float):
@@ -442,23 +463,31 @@ def _ladder_states(frame: _Frame, times, nu: float):
             return np.array(_taylor_action(lambda z, k: (beta / k) * (gen @ z), beta * nu, y))
 
         def advance(y, m):
-            # E_{j+1} = E_j E_j, squared only as far as m needs; a squaring
-            # that overflows is reported, not walked on.
-            for j in range(m.bit_length()):
-                if j == len(ladder):
-                    with np.errstate(over="ignore", invalid="ignore"):
+            # E_{j+1} = E_j E_j, squared only as far as m needs. Squarings
+            # that amplify rounding until it overflows are left to the
+            # contraction check on the states walked.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(m.bit_length()):
+                    if j == len(ladder):
                         ladder.append(ladder[-1] @ ladder[-1])
-                    if not np.isfinite(ladder[-1]).all():
-                        # Decimal, as m beta nu may be past the float range;
-                        # imported here, off the start-up path of every run.
-                        from decimal import Decimal
-                        raise FloatingPointError("exact propagator overflows at t nu = "
-                                                 f"{m * Decimal(beta * nu):.3g}")
-                if m >> j & 1:
-                    y = ladder[j] @ y
+                    if m >> j & 1:
+                        y = ladder[j] @ y
             return y
 
         return beta, series, advance
 
-    for coords in _lattice_walk(_coordinates(frame.x0, q, pairs), times, lattice):
+    x0 = _coordinates(frame.x0, q, pairs)
+    # exp(tM) is a contraction: ||x_t|| exceeds ||x_0|| by at most the walk's
+    # rounding, c n^2 u ||x_0|| (1 + t nu). A longer or non-finite x_t is
+    # rounding that the walk amplified, not a state. Where t nu overflows,
+    # the bound is void (inf, or nan for x_0 = 0) and only finiteness counts.
+    r0 = np.linalg.norm(x0)
+    slack = r0 * _CONTRACTION_SLACK * n * n * np.finfo(float).eps / 2.0
+    for chunk, coords in _lattice_walk(x0, times, lattice):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(coords, axis=-1)
+            bad = ~np.isfinite(norms) | (norms > r0 + slack * (1.0 + np.array(chunk) * nu))
+        if bad.any():
+            raise FloatingPointError("exact propagator lost accuracy at t = "
+                                     f"{chunk[np.argmax(bad)]:.3g}")
         yield _traceless(coords, q, pairs) + np.eye(n) / n

@@ -39,6 +39,7 @@ DECAY = "tests/test_cli.py::TestExtremeValidConfigs::" \
 GATE = "tests/test_analysis.py::TestTraceDistance::test_stack_gates_every_member[rho]"
 SWEEP = "tests/test_analysis.py::TestSweep::"
 EXPM_40 = "tests/test_linalg.py::test_taylor_expm_matches_40_digit_reference"
+LOST = "tests/test_cli.py::TestContractionCheck::test_lost_accuracy_names_its_time"
 
 
 class Mutant(NamedTuple):
@@ -79,10 +80,19 @@ MUTANTS = (
            "beta = math.ldexp(t, -math.frexp(t * nu)[1])",
            ("tests/test_propagators.py::TestExactPropagate::"
             "test_horizon_past_the_float_range_reaches_the_stationary_state",)),
-    Mutant("overflow-message-in-floats", "src/projlind/propagators.py",
-           'f"{m * Decimal(beta * nu):.3g}")', 'f"{m * beta * nu:.3g}")',
+    Mutant("contraction-slack-0", "src/projlind/propagators.py",
+           "_CONTRACTION_SLACK = 16.0", "_CONTRACTION_SLACK = 0.0",
            ("tests/test_propagators.py::TestExactPropagate::"
-            "test_overflow_past_the_float_range_names_its_t_nu",)),
+            "test_empty_family_is_unitary_evolution",
+            "tests/test_propagators.py::TestExactPropagate::"
+            "test_matches_dense_generator_oracle")),
+    Mutant("contraction-slack-1e30", "src/projlind/propagators.py",
+           "_CONTRACTION_SLACK = 16.0", "_CONTRACTION_SLACK = 1e30",
+           (LOST + "[commuting-1e+16-exact-only-error]",)),
+    Mutant("contraction-comparison-dropped", "src/projlind/propagators.py",
+           "bad = ~np.isfinite(norms) | (norms > r0 + slack * (1.0 + np.array(chunk) * nu))",
+           "bad = ~np.isfinite(norms)",
+           (LOST + "[two-qubit-rank2-1e+18-exact-only-error]",)),
     Mutant("indicator-inf-times-zero", "src/projlind/propagators.py",
            "return 0.5 * t * t * kappa if kappa else 0.0", "return 0.5 * t * t * kappa",
            ("tests/test_propagators.py::TestBchErrorIndicator::"
@@ -154,6 +164,10 @@ MUTANTS = (
            "        if not finite.all():\n", "        if False:\n",
            ("tests/test_cli.py::TestExtremeValidConfigs::"
             "test_closed_form_names_the_overflow_of_t_h[approx-only]",)),
+    Mutant("closed-form-spectrum-unchecked", "src/projlind/propagators.py",
+           "finite = np.isfinite(u).all(axis=(1, 2))", "pass",
+           ("tests/test_cli.py::TestExtremeValidConfigs::"
+            "test_closed_form_names_the_overflow_of_the_spectrum_of_t_h[approx-only-error]",)),
     Mutant("residual-not-rescaled", "src/projlind/linalg.py",
            "a = a / 2.0 ** np.maximum(np.frexp(largest)[1] - 1, 0)", "a = a + 0.0 * largest",
            ("tests/test_model.py::TestHamiltonian::"

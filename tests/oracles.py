@@ -1,10 +1,14 @@
 """Independent brute-force oracles and random generators for the test suite.
 
 Nothing here calls into ``projlind``; the exponential oracle, the paper's
-coherence-block algebra R_j, the two-qubit Pauli decomposition and the
-random model builders are deliberately separate routes so the package can
-be checked against them.
+coherence-block algebra R_j, the two-qubit Pauli decomposition, the
+random model builders and the benchmark's scenario generator are
+deliberately separate routes so the package can be checked against them.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -73,6 +77,18 @@ def rand_ranks(n, n_members, rng):
         ranks.append(int(rng.integers(1, hi + 1)) if hi > 1 else 1)
         left -= ranks[-1]
     return ranks
+
+
+def perfbench_configs(workload, seed):
+    """The config documents that ``perfbench/scenarios.py`` generates for
+    ``workload`` and ``seed``, one per slot of the workload."""
+    module = sys.modules.get("perfbench_scenarios")
+    if module is None:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
+        spec = importlib.util.spec_from_file_location("perfbench_scenarios", path)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return [module.to_config(case) for case in module.generate(workload, seed)]
 
 
 def apply_dissipator(members, rho):

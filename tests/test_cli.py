@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from projlind import analysis, cli, config, presets, propagators
 from projlind.model import DensityMatrix, Hamiltonian, ProjectorFamily, Scenario
+
+from oracles import perfbench_configs
 
 NON_ORTHOGONAL = {
     "dimension": 2,
@@ -343,12 +346,12 @@ class TestExtremeValidConfigs:
     @pytest.mark.parametrize("mode", ["compare", "exact-only"])
     def test_huge_hamiltonian_names_the_exact_overflow(self, tmp_path, capsys, mode):
         # t ||H|| near 1e198 leaves the ladder's squarings nothing but
-        # rounding, which they square until it overflows.
+        # rounding, which they square until it overflows at the first time.
         out = tmp_path / "report.csv"
         cfg = driven_qubit_with(tmp_path, hamiltonian=HUGE_H)
         assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: propagation failed: exact propagator overflows at t nu = ")
+        assert err == "error: propagation failed: exact propagator lost accuracy at t = 0.025\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", analysis.MODES)
@@ -361,6 +364,29 @@ class TestExtremeValidConfigs:
         cfg = driven_qubit_with(tmp_path, hamiltonian=[[[0.0, 0.0], [2.0, 0.0]],
                                                        [[2.0, 0.0], [0.0, 0.0]]], grid=grid)
         code = cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)])
+        if mode == "exact-only":
+            assert code == 0
+            far_report(out, mode, grid)
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == ("error: propagation failed: closed-form "
+                                               "propagator overflows at t = 1e+308\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["error", "always"])
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_closed_form_names_the_overflow_of_the_spectrum_of_t_h(self, tmp_path, capsys,
+                                                                  mode, policy):
+        # H = 0.9 (1 + sigma_x) at t = 1e308: every entry of t H' is finite,
+        # but its eigenvalue 1.8e308 is not, so neither is the factor.
+        out = tmp_path / "report.csv"
+        grid = [0.0, 1.0, 1e308]
+        cfg = driven_qubit_with(tmp_path, hamiltonian=[[[0.9, 0.0], [0.9, 0.0]],
+                                                       [[0.9, 0.0], [0.9, 0.0]]], grid=grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(policy)
+            code = cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)])
+        assert not caught
         if mode == "exact-only":
             assert code == 0
             far_report(out, mode, grid)
@@ -400,6 +426,59 @@ class TestExtremeValidConfigs:
         cfg.write_text(json.dumps(doc))
         assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
         far_report(out, mode, grid)
+
+
+def undamped_config(tmp_path, name, t):
+    """``two-qubit-rank2``, or the benchmark's seed-1 dense-compare slot
+    whose H commutes with every projector (n = 12), on the grid [0, 1, t];
+    both have undamped modes."""
+    if name == "commuting":
+        doc = perfbench_configs("dense-compare", 1)[-1]
+    else:
+        doc = json.loads(presets.preset_text(name))
+    doc["time_grid"] = [0.0, 1.0, t]
+    cfg = tmp_path / "undamped.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+class TestContractionCheck:
+    # exp(tM) is a contraction. Where the dense kernel's squarings amplify
+    # the rounding of undamped modes past the check's bound, or until it
+    # overflows, an exact mode exits 2 and names the time, and numpy warns
+    # of nothing, whatever the warning policy.
+    @pytest.mark.parametrize("policy", ["error", "always"])
+    @pytest.mark.parametrize("mode", ["compare", "exact-only"])
+    @pytest.mark.parametrize("name, t", [
+        ("two-qubit-rank2", 1e18),
+        ("two-qubit-rank2", 1e308),
+        ("commuting", 1e16),
+        ("commuting", 1e17),
+        ("commuting", 1e308),
+    ])
+    def test_lost_accuracy_names_its_time(self, tmp_path, capsys, name, t, mode, policy):
+        out = tmp_path / "report.csv"
+        cfg = undamped_config(tmp_path, name, t)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(policy)
+            code = cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)])
+        assert not caught
+        assert code == 2
+        assert capsys.readouterr().err == ("error: propagation failed: exact propagator "
+                                           f"lost accuracy at t = {t:.3g}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    @pytest.mark.parametrize("name, t", [
+        ("two-qubit-rank2", 1e4),
+        ("two-qubit-rank2", 1e16),
+        ("commuting", 1e4),
+    ])
+    def test_short_of_the_bound_gives_a_finite_report(self, tmp_path, name, t, mode):
+        out = tmp_path / "report.csv"
+        cfg = undamped_config(tmp_path, name, t)
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        assert len(finite_report(out, mode)) == 3
 
 
 def random_basis_config(tmp_path, grid):
