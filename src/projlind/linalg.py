@@ -2,7 +2,7 @@
 
 The Hermiticity gate and Hermitian part, the Taylor series shared by both
 exact kernels, the dense kernel's Taylor polynomial and the closed form's
-unitary exponential, on plain ``numpy`` arrays: ``complex128``, except that
+stack of unitary exponentials, on plain ``numpy`` arrays: ``complex128``, except that
 the polynomial keeps its input's dtype. Every function is pure; inputs are
 never modified.
 """
@@ -70,10 +70,11 @@ def _taylor_action(step, nu: float, x) -> list:
     the unit roundoff, which bounds the relative truncation error (Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33 (2011)); at nu = 1 that is degree 18, at
     nu = 3 degree 28, and nu = 0 returns x alone. Each term costs one call of
-    ``step``: a matrix-vector product for the dense exact kernel, or one
-    n x n product for the matrix-free kernel in :mod:`projlind.propagators`.
-    Both sum the terms to cross a cell of their lattice and weight them for
-    the grid points inside it.
+    ``step``: for the dense exact kernel in :mod:`projlind.propagators` one
+    product with the stack of a chunk's cell starts, for the matrix-free
+    kernel one n x n product. Both weight the terms for the grid points
+    inside a cell of their lattice; the matrix-free kernel also sums them to
+    cross the cell.
     """
     half_u = np.finfo(float).eps / 4.0
     terms = [x]
@@ -107,14 +108,16 @@ def _taylor_expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def matexp(m) -> np.ndarray:
-    """exp(m) of a square ``complex128`` matrix that equals minus its
-    conjugate transpose to the bit, m = i h with h Hermitian, from one
-    eigendecomposition of h, so the result is unitary to rounding.
+def matexp(m, ts) -> np.ndarray:
+    """The stack of exp(t m) for the times t of the 1-d ``ts``, for a square
+    ``complex128`` matrix m that equals minus its conjugate transpose to the
+    bit, m = i h with h Hermitian: one eigendecomposition h = V diag(w) V^dag
+    serves every t, as V diag(exp(i t w)) V^dag, unitary to rounding.
 
-    Every other input raises :class:`InvalidInputError`, a real one
-    included: this is the closed form's exp(-i t H'), and the exact kernels
-    take their exponentials by Taylor series.
+    Where t w_k overflows, that factor is not finite (numpy warns unless the
+    caller silences it). Every other m raises :class:`InvalidInputError`, a
+    real one included: this is the closed form's exp(-i t H'), and the exact
+    kernels take their exponentials by Taylor series.
     """
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -124,4 +127,5 @@ def matexp(m) -> np.ndarray:
     if a.dtype != complex or not np.array_equal(a, -a.conj().T):
         raise InvalidInputError("matexp input must be complex and exactly anti-Hermitian")
     w, v = np.linalg.eigh(-1j * a)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    phases = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), w))
+    return (v * phases[:, None, :]) @ v.conj().T

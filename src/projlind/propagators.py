@@ -20,10 +20,11 @@ parts of those products, so both equal their conjugate transposes to the
 bit; a state rho appears in it as V^dag rho V.
 
 There the factorized state is U' (exp(-tG) o X0) U'^dag with
-U' = exp(-i t H'), one eigendecomposition of H' per time point: -i t H' is
-anti-Hermitian to the bit at every finite t, the one input that
-:func:`projlind.linalg.matexp` takes. Where t H' overflows, there is no
-factor to take, and the closed form raises an error that gives that t.
+U' = exp(-i t H'). -i H' is anti-Hermitian to the bit, the one input that
+:func:`projlind.linalg.matexp` takes, so one eigendecomposition
+H' = W diag(w) W^dag per chunk of times gives each factor of the chunk as
+W diag(exp(-i t w)) W^dag. Where t w_k overflows, there is no factor to
+take, and the closed form raises an error that gives that t.
 The Schur factor is the paper's pair expansion
 prod_j (1 + (e^{-lambda_j t/2} - 1) R_j), with
 R_j = P_j kron Q_j^T + Q_j kron P_j^T, summed in closed form; the literal
@@ -39,20 +40,23 @@ whose square root is computed once per scenario. Neither forms an
 n^2 x n^2 array.
 
 The exact generator in the frame, L(X) = -i (H'X - XH') - G o X, preserves
-Hermiticity and the trace, and it has two kernels. Both walk the grid
-on one lattice of points j tau, each with its own step tau. At the
-lattice point x_j a kernel takes the terms T_k = (tau L)^k x_j / k! of
-one truncated Taylor series, by the stopping rule of
-:func:`projlind.linalg._taylor_action`, once for all the grid times
-inside the cell. A grid time t = (j + sigma) tau, 0 <= sigma < 1, gets the
-dense output sum_k sigma^k T_k, the series of exp(sigma tau L) x_j, whose
-truncation bound (sigma tau nu)^(k+1) / (k+1)! is no larger than the
-cell's. A cell whose series is taken is crossed by its sum; the walk
-crosses any other m cells by the kernel's own advance. A time within
-8 eps s of a lattice point, s = t / tau and eps = 2^-52, is that point:
-the rest is the rounding of the grid's points, not time. Where s
-overflows, as at t = 1e308, the lattice index is the exact integer
-quotient, so grid times reach the float maximum.
+Hermiticity and the trace, and it has two kernels. Each walks the grid on
+a lattice of points j tau with its own step tau. At the lattice point x_j
+of a cell that holds grid times, a kernel takes the terms
+T_k = (tau L)^k x_j / k! of one truncated Taylor series, by the stopping
+rule of :func:`projlind.linalg._taylor_action`, once for all the grid
+times inside the cell. A grid time t = (j + sigma) tau, 0 <= sigma < 1,
+gets the dense output sum_k sigma^k T_k, the series of
+exp(sigma tau L) x_j, whose truncation bound (sigma tau nu)^(k+1) / (k+1)!
+is no larger than the cell's. A time within 8 eps s of a lattice point,
+s = t / tau and eps = 2^-52, is that point: the rest is the rounding of
+the grid's points, not time. Where s overflows, as at t = 1e308, the
+lattice index is the exact integer quotient, so grid times reach the float
+maximum. The two kernels share this cell rule and differ in how they
+cross cells: the matrix-free kernel takes its series cell by cell and
+crosses each such cell by its sum; the dense kernel crosses every cell by
+its ladder and takes one series per chunk, on the stack of the chunk's
+distinct cell starts.
 
 The matrix-free kernel applies L to the n x n frame state, one n x n
 product per application: with Z = -i tau H' T,
@@ -98,18 +102,22 @@ O(n^5), by applying L to the basis; it is L in an orthonormal basis, so
 ||M||_2 <= nu. The coordinates x of X0 are walked on the lattice of its
 base beta: the first positive grid time scaled by a power of two to
 1/2 <= beta nu < 1. (A base far below 1/nu would carry the rounding of
-E_0 through more squarings than the walk needs.) An advance of m cells
-applies E_j for each set bit of m, on one ladder of squarings:
-E_0 = exp(beta M) is the scenario's one matrix polynomial,
-:func:`projlind.linalg._taylor_expm`: the Taylor polynomial of degree 18,
-whose remainder at ||beta M||_2 <= beta nu < 1 is below the series'
-stopping bound, in 7 matrix products. E_{j+1} = E_j E_j is squared only as
-far as the largest advance needs. A cell's series has the same bound
-beta nu < 1, at most degree 18, and takes matrix-vector products only.
-Every point of a uniform grid from 0 with a step of at least 1/(2 nu) is
-a lattice point, so such a grid takes no series and costs the
-polynomial and the squarings up to its step; a finer one takes a series
-for each cell that holds one of its points. Each state
+E_0 through more squarings than the walk needs.) The walk goes from
+one point's cell start to the next, and an advance of m cells applies E_j
+for each set bit of m, on one ladder of squarings: E_0 = exp(beta M) is
+the scenario's one matrix polynomial, :func:`projlind.linalg._taylor_expm`:
+the Taylor polynomial of degree 18, whose remainder at
+||beta M||_2 <= beta nu < 1 is below the series' stopping bound, in 7
+matrix products. E_{j+1} = E_j E_j is squared only as far as the largest
+advance needs. Each chunk then takes one series, with the same bound
+beta nu < 1 and so at most degree 18, on the (u, N) stack of its u
+distinct cell starts that hold points inside their cells; each term is
+one product of the stack with M^T (Al-Mohy & Higham's Taylor action on a
+block of vectors, SIAM J. Sci. Comput. 33 (2011)). Every point of a
+uniform grid from 0 with a step of at least 1/(2 nu) is a lattice point,
+so such a grid takes no series and costs the polynomial and the
+squarings up to its step; a finer one takes one series per chunk that
+holds one of its points inside a cell. Each state
 1/n + sum_k x_k F_k is Hermitian by construction and has trace 1 to
 rounding, however stiff t L is. Its cost, O(n^6) for the polynomial and
 the squarings, hardly depends on the grid.
@@ -143,10 +151,10 @@ run repeats to the bit. A 12-point grid
 with t nu near 15 goes matrix-free from n = 12 up, which reaches n = 64;
 a grid with t nu in the thousands stays dense below n = 59.
 Both kernels share one applicator of L, the bound nu, the Taylor
-stopping rule and the lattice walk with its dense output. The unstructured
-route exp(t (A + B)) is an oracle in the test suite.
+stopping rule, the cell rule and the dense output. The unstructured route
+exp(t (A + B)) is an oracle in the test suite.
 
-The closed form takes one eigendecomposition of H' per time point. Both
+The closed form takes one eigendecomposition of H' per chunk. Both
 paths work on chunks of at most _CHUNK consecutive times and yield one
 (b, n, n) stack of states per chunk: the exact kernels collect a chunk's
 states (the dense one rebuilds them from its coordinate vectors in one
@@ -290,19 +298,17 @@ def _chunks(times):
 def _approx_states(frame: _Frame, times):
     """Yield the factorized states U' (exp(-tG) o X0) U'^dag in the frame
     at the ``times``, one (b, n, n) stack per chunk."""
+    mih = -1j * frame.h
     for chunk in _chunks(times):
-        ts = np.array(chunk)[:, None, None]
-        # -i t H' is exactly anti-Hermitian, so each factor is unitary to
-        # rounding; where t H' or its spectrum overflows there is no factor
-        # to take. t G may overflow to inf, where the decay is exactly 0.
-        with np.errstate(over="ignore"):
-            gens = -1j * ts * frame.h
-            decayed = np.exp(-ts * frame.g) * frame.x0
-        finite = np.isfinite(gens).all(axis=(1, 2))
-        if finite.all():
-            with np.errstate(invalid="ignore"):
-                u = np.stack([matexp(a) for a in gens])
-            finite = np.isfinite(u).all(axis=(1, 2))
+        ts = np.array(chunk)
+        # -i H' is exactly anti-Hermitian, so one eigendecomposition gives
+        # the chunk's factors, each unitary to rounding; where t w_k
+        # overflows there is no factor to take. t G may overflow to inf,
+        # where the decay is exactly 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = matexp(mih, ts)
+            decayed = np.exp(-ts[:, None, None] * frame.g) * frame.x0
+        finite = np.isfinite(u).all(axis=(1, 2))
         if not finite.all():
             raise FloatingPointError("closed-form propagator overflows at t = "
                                      f"{chunk[np.argmin(finite)]:.3g}")
@@ -370,37 +376,41 @@ def _generator(frame: _Frame):
     return apply
 
 
-def _lattice_walk(x, times, lattice):
-    """Yield each chunk of the ascending non-negative ``times`` with the
-    stack of its states, walking the state ``x`` from t = 0 along a lattice
-    of points j tau.
+def _cell(t, tau: float) -> tuple[int, float]:
+    """(i, sigma) with t = (i + sigma) tau and 0 <= sigma < 1, on the
+    lattice of points i tau, tau > 0 and possibly inf.
 
-    ``lattice(t)``, called at the first positive time t, returns tau and
-    two functions: ``series(y)``, the stacked terms of the Taylor series of
-    exp(tau L) y, and ``advance(y, m)``, the state m lattice points on. A
-    time inside a cell weights the terms of the cell's series, taken once;
-    a cell whose series is taken is crossed by its sum.
+    A time within 8 eps s of a lattice point, s = t / tau, is that point:
+    the rest is the rounding of the grid, not time. Past the float range t
+    is an integer, and 8 eps s is far over a cell: i is the floor of the
+    exact quotient.
     """
-    eps = np.finfo(float).eps
-    tau, j, terms = None, 0, None
+    eps = 2.0 ** -52
+    s = float(t) / tau
+    if s == math.inf:
+        num, den = tau.as_integer_ratio()
+        return int(t) * den // num, 0.0
+    i = round(s)
+    if abs(s - i) <= 8.0 * eps * s:
+        return i, 0.0
+    return math.floor(s), s - math.floor(s)
+
+
+def _lattice_walk(x, times, tau, series, advance):
+    """Yield the states at the ascending non-negative ``times``, one stack
+    per chunk, walking the state ``x`` from t = 0 along the lattice of
+    points j ``tau``.
+
+    ``series(y)`` returns the stacked terms of the Taylor series of
+    exp(tau L) y and ``advance(y, m)`` the state m lattice points on. A time
+    inside a cell weights the terms of the cell's series, taken once; a
+    cell whose series is taken is crossed by its sum.
+    """
+    j, terms = 0, None
     for chunk in _chunks(times):
         states = []
         for t in chunk:
-            if tau is None and t > 0.0:
-                tau, series, advance = lattice(t)
-            # t = (i + sigma) tau with 0 <= sigma < 1. A time within
-            # 8 eps s of a lattice point is that point: the rest is the
-            # rounding of the grid, not time.
-            s = float(t) / tau if tau else 0.0
-            if s == math.inf:
-                # Past the float range t is an integer, and 8 eps s is far
-                # over a cell: i is the floor of the exact quotient.
-                num, den = tau.as_integer_ratio()
-                i, sigma = int(t) * den // num, 0.0
-            else:
-                i, sigma = round(s), 0.0
-                if abs(s - i) > 8.0 * eps * s:
-                    i, sigma = math.floor(s), s - math.floor(s)
+            i, sigma = _cell(t, tau)
             if i > j:
                 if terms is not None:
                     x, j = terms.sum(0), j + 1
@@ -412,13 +422,14 @@ def _lattice_walk(x, times, lattice):
                 states.append((weights @ terms.reshape(len(terms), -1)).reshape(x.shape))
             else:
                 states.append(x)
-        yield chunk, np.array(states)
+        yield np.array(states)
 
 
 def _taylor_states(frame: _Frame, times, nu: float):
-    """Yield the exact states in the frame at the ascending non-negative
-    ``times``, one (b, n, n) stack per chunk, by matrix-free Taylor series on
-    the lattice of substeps tau = _THETA / nu, for a bound ``nu`` >= ||L||."""
+    """A generator of the exact states in the frame at the ascending
+    non-negative ``times``, one (b, n, n) stack per chunk, by matrix-free
+    Taylor series on the lattice of substeps tau = _THETA / nu, for a bound
+    ``nu`` >= ||L||."""
     gen = _generator(frame)
     # nu = 0 puts every time on the lattice point 0.
     tau = _THETA / nu if nu > 0.0 else math.inf
@@ -437,8 +448,7 @@ def _taylor_states(frame: _Frame, times, nu: float):
             y = series(y).sum(0)
         return y
 
-    for _, states in _lattice_walk(frame.x0, times, lambda t: (tau, series, advance)):
-        yield states
+    return _lattice_walk(frame.x0, times, tau, series, advance)
 
 
 def _ladder_states(frame: _Frame, times, nu: float):
@@ -450,41 +460,56 @@ def _ladder_states(frame: _Frame, times, nu: float):
     q, pairs = _traceless_basis(n)
     basis = _traceless(np.eye(n * n - 1), q, pairs)
     gen = _coordinates(_generator(frame)(basis), q, pairs).T
-
-    def lattice(t):
-        # t nu = f 2^e with 1/2 <= f < 1, so beta nu = f; e is taken from
-        # the factors, since t nu may overflow. E_0 = exp(beta M), with
-        # ||beta M||_2 <= beta nu < 1, is the scenario's one polynomial.
-        (ft, et), (fn, en) = math.frexp(t), math.frexp(nu)
-        beta = math.ldexp(t, -(math.frexp(ft * fn)[1] + et + en))
-        ladder = [_taylor_expm(beta * gen)]
-
-        def series(y):
-            return np.array(_taylor_action(lambda z, k: (beta / k) * (gen @ z), beta * nu, y))
-
-        def advance(y, m):
-            # E_{j+1} = E_j E_j, squared only as far as m needs. Squarings
-            # that amplify rounding until it overflows are left to the
-            # contraction check on the states walked.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(m.bit_length()):
-                    if j == len(ladder):
-                        ladder.append(ladder[-1] @ ladder[-1])
-                    if m >> j & 1:
-                        y = ladder[j] @ y
-            return y
-
-        return beta, series, advance
-
-    x0 = _coordinates(frame.x0, q, pairs)
+    x = x0 = _coordinates(frame.x0, q, pairs)
     # exp(tM) is a contraction: ||x_t|| exceeds ||x_0|| by at most the walk's
     # rounding, c n^2 u ||x_0|| (1 + t nu). A longer or non-finite x_t is
     # rounding that the walk amplified, not a state. Where t nu overflows,
     # the bound is void (inf, or nan for x_0 = 0) and only finiteness counts.
     r0 = np.linalg.norm(x0)
     slack = r0 * _CONTRACTION_SLACK * n * n * np.finfo(float).eps / 2.0
-    for chunk, coords in _lattice_walk(x0, times, lattice):
+    # Times before the first positive one are all 0, on lattice point 0.
+    beta, ladder, j = math.inf, [], 0
+    for chunk in _chunks(times):
+        coords = np.empty((len(chunk), len(x0)))
+        # The chunk's distinct cell starts that hold points inside their
+        # cell, and (point, start, sigma) for each such point.
+        starts, inside = [], []
+        # Squarings that amplify rounding until it overflows are left to
+        # the contraction check on the states walked.
         with np.errstate(over="ignore", invalid="ignore"):
+            for p, t in enumerate(chunk):
+                if not ladder and t > 0.0:
+                    # t nu = f 2^e with 1/2 <= f < 1, so beta nu = f; e is
+                    # taken from the factors, since t nu may overflow.
+                    # E_0 = exp(beta M), with ||beta M||_2 <= beta nu < 1, is
+                    # the scenario's one polynomial.
+                    (ft, et), (fn, en) = math.frexp(t), math.frexp(nu)
+                    beta = math.ldexp(t, -(math.frexp(ft * fn)[1] + et + en))
+                    ladder.append(_taylor_expm(beta * gen))
+                i, sigma = _cell(t, beta)
+                # An advance of m cells applies E_b for each set bit b of m;
+                # E_{b+1} = E_b E_b is squared only as far as m needs.
+                m, j = i - j, i
+                for b in range(m.bit_length()):
+                    if b == len(ladder):
+                        ladder.append(ladder[-1] @ ladder[-1])
+                    if m >> b & 1:
+                        x = ladder[b] @ x
+                if sigma == 0.0:
+                    coords[p] = x
+                    continue
+                # x is a new array exactly where the walk entered a new cell.
+                if not starts or starts[-1] is not x:
+                    starts.append(x)
+                inside.append((p, len(starts) - 1, sigma))
+            if inside:
+                # One series on the stack of starts; each point weights the
+                # terms of its own cell.
+                terms = np.array(_taylor_action(lambda z, k: (beta / k) * (z @ gen.T),
+                                                beta * nu, np.array(starts)))
+                p, c, sigma = (np.array(col) for col in zip(*inside))
+                coords[p] = np.einsum("pk,kpn->pn", sigma[:, None] ** np.arange(len(terms)),
+                                      terms[:, c])
             norms = np.linalg.norm(coords, axis=-1)
             bad = ~np.isfinite(norms) | (norms > r0 + slack * (1.0 + np.array(chunk) * nu))
         if bad.any():

@@ -62,7 +62,7 @@ MUTANTS = (
             "test_walk_matches_dense_generator_oracle[grid0-1.0]",
             "tests/test_propagators.py::TestExactWalk::test_ladder_takes_one_bound",
             "tests/test_propagators.py::TestExactWalk::"
-            "test_fine_grid_takes_one_series_per_cell[0.5]",
+            "test_fine_grid_takes_one_series_per_chunk[0.5]",
             "tests/test_propagators.py::TestBchErrorIndicator::test_bounds_the_splitting_gap",
             "tests/test_propagators.py::TestMatrixFreeKernel::test_agrees_with_the_dense_kernel",
             "tests/test_propagators.py::TestFrame::test_generator_norm_is_bounded_by_nu")),
@@ -73,7 +73,7 @@ MUTANTS = (
             "tests/test_model.py::TestDensityMatrix::"
             "test_names_a_negative_eigenvalue_near_the_float_range")),
     Mutant("lattice-index-from-float", "src/projlind/propagators.py",
-           "i, sigma = int(t) * den // num, 0.0", "i, sigma = math.floor(s), 0.0",
+           "return int(t) * den // num, 0.0", "return math.floor(s), 0.0",
            (FAR + "[driven-qubit-exact-only]", FAR + "[three-projector-compare]")),
     Mutant("ladder-base-from-t-nu", "src/projlind/propagators.py",
            "beta = math.ldexp(t, -(math.frexp(ft * fn)[1] + et + en))",
@@ -115,12 +115,12 @@ MUTANTS = (
            "while chunk := list(islice(times, _CHUNK + 1)):",
            (SWEEP + "test_sweep_holds_one_chunk_per_path",)),
     Mutant("no-lattice-snap", "src/projlind/propagators.py",
-           "if abs(s - i) > 8.0 * eps * s:", "if abs(s - i) > 0.0:",
+           "if abs(s - i) <= 8.0 * eps * s:", "if abs(s - i) <= 0.0:",
            ("tests/test_propagators.py::TestExactWalk::"
             "test_uniform_grid_takes_one_exponential[2.0-12]",)),
     Mutant("one-decay-per-chunk", "src/projlind/propagators.py",
-           "decayed = np.exp(-ts * frame.g) * frame.x0",
-           "decayed = np.exp(-ts[0] * frame.g) * frame.x0",
+           "decayed = np.exp(-ts[:, None, None] * frame.g) * frame.x0",
+           "decayed = np.exp(-ts[:1, None, None] * frame.g) * frame.x0",
            (SWEEP + "test_commuting_scenario_all_small",)),
     Mutant("bool-guard-off", "src/projlind/config.py",
            'return doc, "true" not in text and "false" not in text', "return doc, True",
@@ -131,10 +131,14 @@ MUTANTS = (
            ("tests/test_propagators.py::TestDenseOutput::"
             "test_one_series_per_substep_whatever_the_grid",)),
     Mutant("walk-restarts-per-chunk", "src/projlind/propagators.py",
-           "    tau, j, terms = None, 0, None\n    for chunk in _chunks(times):\n",
-           "    for chunk in _chunks(times):\n        tau, j, terms = None, 0, None\n",
+           "    beta, ladder, j = math.inf, [], 0\n    for chunk in _chunks(times):\n",
+           "    for chunk in _chunks(times):\n        beta, ladder, j = math.inf, [], 0\n",
            (SWEEP + "test_chunk_boundaries_match_single_points[65]",
             SWEEP + "test_chunk_boundaries_match_single_points[133]")),
+    Mutant("matrix-free-walk-restarts-per-chunk", "src/projlind/propagators.py",
+           "    j, terms = 0, None\n    for chunk in _chunks(times):\n",
+           "    for chunk in _chunks(times):\n        j, terms = 0, None\n",
+           ("tests/test_propagators.py::TestDenseOutput::test_matches_the_dense_kernel[65 points]",)),
     Mutant("parser-rebuilt-per-call", "src/projlind/cli.py",
            "args = _parser().parse_args(argv)", "args = build_parser().parse_args(argv)",
            ("tests/test_cli.py::test_repeated_calls_in_one_process",)),
@@ -150,8 +154,8 @@ MUTANTS = (
            ("tests/test_propagators.py::TestFrame::test_frame_is_exactly_hermitian",
             "tests/test_cli.py::TestRandomBasisFarTime::test_gives_a_finite_report[approx-only]")),
     Mutant("decay-product-warns", "src/projlind/propagators.py",
-           'with np.errstate(over="ignore"):\n            gens',
-           "if True:\n            gens",
+           'with np.errstate(over="ignore", invalid="ignore"):\n            u = matexp',
+           "if True:\n            u = matexp",
            (DECAY + "[driven-qubit-4.0-grid0-approx-only]",
             DECAY + "[driven-qubit-1e+300-grid3-compare]")),
     Mutant("taylor-expm-degree-15", "src/projlind/linalg.py",
@@ -165,9 +169,18 @@ MUTANTS = (
            ("tests/test_cli.py::TestExtremeValidConfigs::"
             "test_closed_form_names_the_overflow_of_t_h[approx-only]",)),
     Mutant("closed-form-spectrum-unchecked", "src/projlind/propagators.py",
-           "finite = np.isfinite(u).all(axis=(1, 2))", "pass",
+           "finite = np.isfinite(u).all(axis=(1, 2))", "finite = np.isfinite(ts)",
            ("tests/test_cli.py::TestExtremeValidConfigs::"
             "test_closed_form_names_the_overflow_of_the_spectrum_of_t_h[approx-only-error]",)),
+    Mutant("phases-from-the-first-time", "src/projlind/linalg.py",
+           "np.multiply.outer(np.asarray(ts, dtype=float), w)",
+           "np.multiply.outer(np.asarray(ts, dtype=float)[:1], w)",
+           ("tests/test_propagators.py::TestApproxClosed::"
+            "test_log_grid_matches_the_product_oracle",)),
+    Mutant("points-weight-the-first-cell", "src/projlind/propagators.py",
+           "terms[:, c])", "terms[:, 0 * c])",
+           ("tests/test_propagators.py::TestExactWalk::"
+            "test_fine_multi_chunk_grid_matches_dense_generator_oracle",)),
     Mutant("residual-not-rescaled", "src/projlind/linalg.py",
            "a = a / 2.0 ** np.maximum(np.frexp(largest)[1] - 1, 0)", "a = a + 0.0 * largest",
            ("tests/test_model.py::TestHamiltonian::"

@@ -294,16 +294,17 @@ class TestSweep:
             assert np.isnan([only_a.trace_distance, only_a.frobenius_gap]).all()
             assert np.isnan(only_e.approx_trace) and np.isnan(only_a.exact_trace)
 
-    @pytest.mark.parametrize("mode, per_point", [
+    @pytest.mark.parametrize("mode, per_chunk", [
         ("compare", 1), ("approx-only", 1), ("exact-only", 0)])
-    def test_one_frame_per_sweep(self, monkeypatch, mode, per_point):
-        # One eigh builds the projector frame for the whole grid; each
-        # closed-form point adds one eigh of H' for its unitary factor.
+    def test_one_frame_per_sweep(self, monkeypatch, mode, per_chunk):
+        # One eigh builds the projector frame for the whole grid; each chunk
+        # of the closed form adds one eigh of H' for all its unitary factors.
         rng = np.random.default_rng(5)
         ps = rand_orthogonal_projectors(5, [2, 1, 1], rng)
         members = list(zip(ps, (0.5, 1.0, 2.0)))
+        count = 2 * CHUNK + 5
         scen = make_scenario(rand_hermitian(5, rng), members, rand_density(5, rng),
-                             np.linspace(0.0, 2.0, 7))
+                             np.linspace(0.0, 2.0, count))
         calls = []
         original = np.linalg.eigh
 
@@ -312,8 +313,8 @@ class TestSweep:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        assert len(analysis.sweep(scen, mode)) == 7
-        assert len(calls) == 1 + 7 * per_point
+        assert len(analysis.sweep(scen, mode)) == count
+        assert calls == [(5, 5)] * (1 + 3 * per_chunk)
 
     def test_stiff_limit_is_maximally_mixed(self):
         # n = 8, ranks [2, 1, 2], ||H||_2 = 5: the generator's only zero mode

@@ -499,9 +499,9 @@ def random_basis_config(tmp_path, grid):
 
 
 class TestRandomBasisFarTime:
-    # -i t H' is anti-Hermitian to the bit at every finite t, so the closed
-    # form's unitary factor takes matexp's eigendecomposition route even
-    # at t = 1e200, where the old per-point symmetry gate misfired.
+    # -i H' is anti-Hermitian to the bit, so the closed form's unitary
+    # factors come from matexp's eigendecomposition even at t = 1e200,
+    # where a per-point symmetry gate on -i t H' would misfire.
     @pytest.mark.parametrize("mode", analysis.MODES)
     def test_gives_a_finite_report(self, tmp_path, mode):
         out = tmp_path / "report.csv"

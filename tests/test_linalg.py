@@ -24,26 +24,33 @@ def test_vectorization_identity_random():
 
 
 def test_matexp_zero_is_identity():
-    assert_allclose(linalg.matexp(np.zeros((4, 4), dtype=complex)), np.eye(4), atol=1e-15)
+    out = linalg.matexp(np.zeros((4, 4), dtype=complex), [0.0, 1.0, -2.5])
+    assert out.shape == (3, 4, 4)
+    assert_allclose(out, np.broadcast_to(np.eye(4), out.shape), atol=1e-15)
 
 
 def test_matexp_diagonal():
-    out = linalg.matexp(np.diag([0.3j, -1.2j]))
-    assert_allclose(out, np.diag([np.exp(0.3j), np.exp(-1.2j)]), rtol=1e-14)
+    ts = np.array([1.0, 0.0, -3.0, 1e3])
+    out = linalg.matexp(np.diag([0.3j, -1.2j]), ts)
+    for t, u in zip(ts, out):
+        assert_allclose(u, np.diag([np.exp(0.3j * t), np.exp(-1.2j * t)]), rtol=1e-14)
 
 
 @pytest.mark.parametrize("target_norm", [0.01, 0.5, 3.0, 10.0, 100.0])
 def test_matexp_matches_series_oracle(target_norm):
-    # Exactly anti-Hermitian input, the only kind matexp takes: the result
-    # is the series oracle's, and unitary to rounding.
+    # Exactly anti-Hermitian input, the only kind matexp takes: each member
+    # of the stack is the series oracle's exp(t m), and unitary to rounding.
     rng = np.random.default_rng(int(target_norm * 100))
+    ts = (1.0, 0.25, -0.5)
     for _ in range(4):
         m = 1j * rand_hermitian(5, rng)
         m *= target_norm / np.linalg.norm(m)
-        ref = taylor_expm(m)
-        u = linalg.matexp(m)
-        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(5)) <= 1e-13
+        stack = linalg.matexp(m, ts)
+        assert stack.shape == (len(ts), 5, 5)
+        for t, u in zip(ts, stack):
+            ref = taylor_expm(t * m)
+            assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(5)) <= 1e-13
 
 
 def test_matexp_inverse_pair():
@@ -51,17 +58,17 @@ def test_matexp_inverse_pair():
     for _ in range(6):
         m = 1j * rand_hermitian(4, rng)
         m *= 10.0 / np.linalg.norm(m)
-        prod = linalg.matexp(m) @ linalg.matexp(-m)
-        assert np.linalg.norm(prod - np.eye(4)) <= 1e-10
+        u, v = linalg.matexp(m, [1.0, -1.0])
+        assert np.linalg.norm(u @ v - np.eye(4)) <= 1e-10
 
 
 def test_matexp_rejects_bad_inputs():
     with pytest.raises(DimensionError):
-        linalg.matexp(np.zeros((2, 3)))
+        linalg.matexp(np.zeros((2, 3)), [1.0])
     bad = np.zeros((2, 2))
     bad[0, 0] = np.nan
     with pytest.raises(InvalidInputError):
-        linalg.matexp(bad)
+        linalg.matexp(bad, [1.0])
 
 
 @pytest.mark.parametrize("m", [
@@ -78,7 +85,7 @@ def test_matexp_rejects_bad_inputs():
 ])
 def test_matexp_refuses_all_but_exactly_anti_hermitian_input(m):
     with pytest.raises(InvalidInputError, match="exactly anti-Hermitian"):
-        linalg.matexp(m)
+        linalg.matexp(m, [1.0])
 
 
 def test_taylor_expm_of_zero_and_of_a_nilpotent_is_exact():

@@ -201,11 +201,11 @@ class TestExactWalk:
         assert taylor == []
 
     @pytest.mark.parametrize("start", [0.0, 0.5])
-    def test_fine_grid_takes_one_series_per_cell(self, monkeypatch, start):
+    def test_fine_grid_takes_one_series_per_chunk(self, monkeypatch, start):
         # Steps of dt nu < 1/2 put many grid times inside each cell of the
-        # ladder's lattice: each such cell takes one Taylor series, and the
-        # walk crosses it by the series' sum. From 0 and from an offset
-        # start alike, the ladder takes one exponential.
+        # ladder's lattice: each chunk takes one Taylor series, on the stack
+        # of its distinct cells that hold such times. From 0 and from an
+        # offset start alike, the ladder takes one exponential.
         expm = counting(monkeypatch, propagators, "_taylor_expm")
         taylor = counting(monkeypatch, propagators, "_taylor_action")
         rng = np.random.default_rng(3)
@@ -221,9 +221,11 @@ class TestExactWalk:
             beta *= 2.0
         while beta * nu >= 1.0:
             beta /= 2.0
-        cells = {math.floor(s) for s in grid / beta if abs(s - round(s)) > 1e-9}
-        assert len(cells) > 10
-        assert len(taylor) == len(cells)
+        chunk = propagators._CHUNK
+        cells = [{math.floor(s) for s in grid[k:k + chunk] / beta if abs(s - round(s)) > 1e-9}
+                 for k in range(0, len(grid), chunk)]
+        assert len(cells) == 7 and all(cells) and sum(map(len, cells)) > 10
+        assert [x.shape for _, _, x in taylor] == [(len(c), scen.dim ** 2 - 1) for c in cells]
         for t, state in zip(grid[::37], walked[::37]):
             single = propagators.exact_propagate(scen, t)
             assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - single) <= 1e-12
@@ -295,7 +297,8 @@ class TestExactWalk:
         for bound, sx, x in taylor:
             assert 0.0 < bound < 1.0
             delta = bound / nu
-            assert (np.linalg.norm(sx - delta * (gen @ x))
+            # x is the stack of a chunk's cell starts, one per row.
+            assert (np.linalg.norm(sx - delta * (x @ gen.T))
                     <= 1e-14 * delta * np.linalg.norm(gen) * np.linalg.norm(x))
 
     @pytest.mark.parametrize("grid, scale", [
@@ -320,6 +323,28 @@ class TestExactWalk:
                 ref = (taylor_expm(t * gen) @ rho0.reshape(-1)).reshape(rho0.shape)
                 assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - ref) <= 1e-12
         assert taylor
+
+    def test_fine_multi_chunk_grid_matches_dense_generator_oracle(self, monkeypatch):
+        # About ten points in each cell of the ladder's lattice, over three
+        # chunks: each chunk takes one series on the stack of its distinct
+        # cells, and each point weights the terms of its own cell.
+        taylor = counting(monkeypatch, propagators, "_taylor_action")
+        rng = np.random.default_rng(67)
+        grid = np.linspace(0.0, 3.0, 2 * propagators._CHUNK + 5)
+        for _ in range(5):
+            taylor.clear()
+            scen = long_time_scenario(rng, 1.0)
+            members = list(zip(scen.family.projectors, scen.family.rates))
+            gen = vectorized_generator(scen.hamiltonian.matrix, members)
+            rho0 = scen.initial_state.matrix
+            frame = propagators._frame(scen)
+            walked = np.concatenate(list(ladder_states(frame, grid)))
+            assert len(walked) == len(grid)
+            widths = [len(x) for _, _, x in taylor]
+            assert len(widths) == 3 and 3 * len(widths) <= sum(widths) <= len(grid) / 4
+            for t, state in zip(grid, walked):
+                ref = (taylor_expm(t * gen) @ rho0.reshape(-1)).reshape(rho0.shape)
+                assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - ref) <= 1e-12
 
     def test_walk_matches_single_points(self):
         rng = np.random.default_rng(17)
@@ -360,8 +385,8 @@ class TestFrame:
         assert not parts
 
     def test_closed_form_never_takes_taylor_expm(self, monkeypatch):
-        # -i t H' is anti-Hermitian to the bit at every finite t, so each
-        # unitary factor is matexp's eigendecomposition.
+        # -i H' is anti-Hermitian to the bit, so every unitary factor comes
+        # from matexp's eigendecomposition.
         expm = counting(monkeypatch, propagators, "_taylor_expm")
         rng = np.random.default_rng(37)
         for _ in range(10):
@@ -451,6 +476,48 @@ class TestApproxClosed:
             t = float(rng.uniform(0.0, 3.0))
             out = propagators.approx_propagate_closed(scen, t)
             assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-10
+
+
+    def test_log_grid_matches_the_product_oracle(self):
+        # 2 _CHUNK + 5 points to t = 1e4: each of the three chunks takes its
+        # unitary factors from one eigendecomposition. Both routes round the
+        # phases like u t ||H||_2, so ||H||_2 = 0.1 keeps that near 1e-13.
+        rng = np.random.default_rng(61)
+        grid = np.geomspace(1e-3, 1e4, 2 * propagators._CHUNK + 5)
+        for _ in range(5):
+            scen = rand_scenario(rng)
+            h = scen.hamiltonian.matrix
+            members = [(p, 0.1 * r) for p, r in zip(scen.family.projectors, scen.family.rates)]
+            scen = make_scenario(0.1 * h / np.linalg.norm(h, 2), members,
+                                 scen.initial_state.matrix, grid)
+            frame = propagators._frame(scen)
+            states = np.concatenate(list(propagators._approx_states(frame, grid)))
+            assert len(states) == len(grid)
+            for t, state in zip(grid, states):
+                lab = frame.v @ state @ frame.v.conj().T
+                assert np.linalg.norm(lab - product(scen, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["n = 1", "nu = 0", "all zeros"])
+@pytest.mark.parametrize("path", ["dense", "matrix-free", "closed form"])
+def test_no_motion_gives_the_initial_state(path, case):
+    # n = 1, or H a multiple of 1 with no projector, leaves every state at
+    # X0 up to t = 1e300; so does a grid of zeros over three chunks, which
+    # no scenario holds but the kernels take.
+    states = {"dense": ladder_states, "matrix-free": taylor_states,
+              "closed form": propagators._approx_states}[path]
+    rng = np.random.default_rng(73)
+    grid = (0.0, 0.5, 7.0, 1e300)
+    if case == "n = 1":
+        scen = make_scenario(np.eye(1), [(np.eye(1), 2.0)], np.eye(1), grid)
+    elif case == "nu = 0":
+        scen = make_scenario(2.0 * np.eye(3), [], rand_density(3, rng), grid, dim=3)
+    else:
+        scen, grid = rand_scenario(rng), np.zeros(2 * propagators._CHUNK + 5)
+    frame = propagators._frame(scen)
+    walked = np.concatenate(list(states(frame, grid)))
+    assert walked.shape == (len(grid), scen.dim, scen.dim)
+    assert np.abs(walked - frame.x0).max() <= 1e-15
 
 
 class TestApproxProduct:
