@@ -20,11 +20,16 @@ parts of those products, so both equal their conjugate transposes to the
 bit; a state rho appears in it as V^dag rho V.
 
 There the factorized state is U' (exp(-tG) o X0) U'^dag with
-U' = exp(-i t H'). -i H' is anti-Hermitian to the bit, the one input that
+U' = exp(-i t H'). Only differences of the eigenvalues w of H' enter it,
+so the phases are centred: U' is taken as exp(-i t (H' - c 1)), with c the
+midpoint of the largest and smallest diagonal entries of H'. They lie in
+[w_min, w_max], so |w_k - c| <= w_max - w_min. -i (H' - c 1) is
+anti-Hermitian to the bit, the one input that
 :func:`projlind.linalg.matexp` takes, so one eigendecomposition
-H' = W diag(w) W^dag per chunk of times gives each factor of the chunk as
-W diag(exp(-i t w)) W^dag. Where t w_k overflows, there is no factor to
-take, and the closed form raises an error that gives that t.
+H' - c 1 = W diag(w - c) W^dag per chunk of times gives each factor of the
+chunk as W diag(exp(-i t (w - c))) W^dag. Where t (w_k - c) overflows,
+there is no factor to take, and the closed form raises an error that gives
+that t; a common phase, as of H = 2 * 1, never overflows.
 The Schur factor is the paper's pair expansion
 prod_j (1 + (e^{-lambda_j t/2} - 1) R_j), with
 R_j = P_j kron Q_j^T + Q_j kron P_j^T, summed in closed form; the literal
@@ -109,8 +114,11 @@ the scenario's one matrix polynomial, :func:`projlind.linalg._taylor_expm`:
 the Taylor polynomial of degree 18, whose remainder at
 ||beta M||_2 <= beta nu < 1 is below the series' stopping bound, in 7
 matrix products. E_{j+1} = E_j E_j is squared only as far as the largest
-advance needs. Each chunk then takes one series, with the same bound
-beta nu < 1 and so at most degree 18, on the (u, N) stack of its u
+advance needs, and never past an E_j with no nonzero entry: every later
+square is 0 too, so an advance that needs one applies that 0 once. A far
+horizon of a decaying scenario so holds only the squarings that reach 0,
+not log2(t / beta) of them. Each chunk then takes one series, with the
+same bound beta nu < 1 and so at most degree 18, on the (u, N) stack of its u
 distinct cell starts that hold points inside their cells; each term is
 one product of the stack with M^T (Al-Mohy & Higham's Taylor action on a
 block of vectors, SIAM J. Sci. Comput. 33 (2011)). Every point of a
@@ -154,7 +162,7 @@ Both kernels share one applicator of L, the bound nu, the Taylor
 stopping rule, the cell rule and the dense output. The unstructured route
 exp(t (A + B)) is an oracle in the test suite.
 
-The closed form takes one eigendecomposition of H' per chunk. Both
+The closed form takes one eigendecomposition of H' - c 1 per chunk. Both
 paths work on chunks of at most _CHUNK consecutive times and yield one
 (b, n, n) stack of states per chunk: the exact kernels collect a chunk's
 states (the dense one rebuilds them from its coordinate vectors in one
@@ -297,14 +305,22 @@ def _chunks(times):
 
 def _approx_states(frame: _Frame, times):
     """Yield the factorized states U' (exp(-tG) o X0) U'^dag in the frame
-    at the ``times``, one (b, n, n) stack per chunk."""
-    mih = -1j * frame.h
+    at the ``times``, one (b, n, n) stack per chunk.
+
+    U' is exp(-i t (H' - c 1)), c the midpoint of the diagonal of H': only
+    differences of the eigenvalues w of H' enter the state, and the centred
+    phases t (w_k - c) overflow only where t (w_max - w_min) is near the
+    float range.
+    """
+    d = frame.h.diagonal().real
+    c = d.max() / 2.0 + d.min() / 2.0
+    mih = -1j * (frame.h - c * np.eye(len(d)))
     for chunk in _chunks(times):
         ts = np.array(chunk)
-        # -i H' is exactly anti-Hermitian, so one eigendecomposition gives
-        # the chunk's factors, each unitary to rounding; where t w_k
-        # overflows there is no factor to take. t G may overflow to inf,
-        # where the decay is exactly 0.
+        # -i (H' - c 1) is exactly anti-Hermitian, so one eigendecomposition
+        # gives the chunk's factors, each unitary to rounding; where
+        # t (w_k - c) overflows there is no factor to take. t G may overflow
+        # to inf, where the decay is exactly 0.
         with np.errstate(over="ignore", invalid="ignore"):
             u = matexp(mih, ts)
             decayed = np.exp(-ts[:, None, None] * frame.g) * frame.x0
@@ -396,40 +412,15 @@ def _cell(t, tau: float) -> tuple[int, float]:
     return math.floor(s), s - math.floor(s)
 
 
-def _lattice_walk(x, times, tau, series, advance):
-    """Yield the states at the ascending non-negative ``times``, one stack
-    per chunk, walking the state ``x`` from t = 0 along the lattice of
-    points j ``tau``.
-
-    ``series(y)`` returns the stacked terms of the Taylor series of
-    exp(tau L) y and ``advance(y, m)`` the state m lattice points on. A time
-    inside a cell weights the terms of the cell's series, taken once; a
-    cell whose series is taken is crossed by its sum.
-    """
-    j, terms = 0, None
-    for chunk in _chunks(times):
-        states = []
-        for t in chunk:
-            i, sigma = _cell(t, tau)
-            if i > j:
-                if terms is not None:
-                    x, j = terms.sum(0), j + 1
-                x, j, terms = advance(x, i - j), i, None
-            if sigma > 0.0:
-                if terms is None:
-                    terms = series(x)
-                weights = sigma ** np.arange(len(terms))
-                states.append((weights @ terms.reshape(len(terms), -1)).reshape(x.shape))
-            else:
-                states.append(x)
-        yield np.array(states)
-
-
 def _taylor_states(frame: _Frame, times, nu: float):
-    """A generator of the exact states in the frame at the ascending
-    non-negative ``times``, one (b, n, n) stack per chunk, by matrix-free
-    Taylor series on the lattice of substeps tau = _THETA / nu, for a bound
-    ``nu`` >= ||L||."""
+    """Yield the exact states in the frame at the ascending non-negative
+    ``times``, one (b, n, n) stack per chunk, by matrix-free Taylor series
+    on the lattice of substeps tau = _THETA / nu, for a bound ``nu`` >= ||L||.
+
+    A time inside a cell weights the terms of the cell's series, taken once;
+    the walk crosses a cell by the sum of its series, the one taken for a
+    time inside it or a new one.
+    """
     gen = _generator(frame)
     # nu = 0 puts every time on the lattice point 0.
     tau = _THETA / nu if nu > 0.0 else math.inf
@@ -440,15 +431,23 @@ def _taylor_states(frame: _Frame, times, nu: float):
         z *= tau / k
         return z
 
-    def series(y):
-        return np.array(_taylor_action(step, _THETA, y))
-
-    def advance(y, m):
-        for _ in range(m):
-            y = series(y).sum(0)
-        return y
-
-    return _lattice_walk(frame.x0, times, tau, series, advance)
+    x, j, terms = frame.x0, 0, None
+    for chunk in _chunks(times):
+        states = []
+        for t in chunk:
+            i, sigma = _cell(t, tau)
+            while j < i:
+                if terms is None:
+                    terms = np.array(_taylor_action(step, _THETA, x))
+                x, j, terms = terms.sum(0), j + 1, None
+            if sigma == 0.0:
+                states.append(x)
+                continue
+            if terms is None:
+                terms = np.array(_taylor_action(step, _THETA, x))
+            weights = sigma ** np.arange(len(terms))
+            states.append((weights @ terms.reshape(len(terms), -1)).reshape(x.shape))
+        yield np.array(states)
 
 
 def _ladder_states(frame: _Frame, times, nu: float):
@@ -492,6 +491,11 @@ def _ladder_states(frame: _Frame, times, nu: float):
                 m, j = i - j, i
                 for b in range(m.bit_length()):
                     if b == len(ladder):
+                        if not ladder[-1].any():
+                            # Every later square is 0 too, and m has a set
+                            # bit from b on: the advance applies 0 once.
+                            x = ladder[-1] @ x
+                            break
                         ladder.append(ladder[-1] @ ladder[-1])
                     if m >> b & 1:
                         x = ladder[b] @ x

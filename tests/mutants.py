@@ -40,6 +40,7 @@ GATE = "tests/test_analysis.py::TestTraceDistance::test_stack_gates_every_member
 SWEEP = "tests/test_analysis.py::TestSweep::"
 EXPM_40 = "tests/test_linalg.py::test_taylor_expm_matches_40_digit_reference"
 LOST = "tests/test_cli.py::TestContractionCheck::test_lost_accuracy_names_its_time"
+CENTRED = "tests/test_cli.py::TestExtremeValidConfigs::test_closed_form_takes_centred_phases"
 
 
 class Mutant(NamedTuple):
@@ -127,7 +128,7 @@ MUTANTS = (
            ("tests/test_config.py::TestMatrixReading::"
             "test_rejected_node_keeps_the_walk_message[bool]",)),
     Mutant("cell-not-crossed-by-its-sum", "src/projlind/propagators.py",
-           "x, j = terms.sum(0), j + 1", "pass",
+           "                if terms is None:\n", "                if True:\n",
            ("tests/test_propagators.py::TestDenseOutput::"
             "test_one_series_per_substep_whatever_the_grid",)),
     Mutant("walk-restarts-per-chunk", "src/projlind/propagators.py",
@@ -136,7 +137,8 @@ MUTANTS = (
            (SWEEP + "test_chunk_boundaries_match_single_points[65]",
             SWEEP + "test_chunk_boundaries_match_single_points[133]")),
     Mutant("matrix-free-walk-restarts-per-chunk", "src/projlind/propagators.py",
-           "    j, terms = 0, None\n    for chunk in _chunks(times):\n",
+           "    x, j, terms = frame.x0, 0, None\n    for chunk in _chunks(times):\n",
+           "    x = frame.x0\n"
            "    for chunk in _chunks(times):\n        j, terms = 0, None\n",
            ("tests/test_propagators.py::TestDenseOutput::test_matches_the_dense_kernel[65 points]",)),
     Mutant("parser-rebuilt-per-call", "src/projlind/cli.py",
@@ -181,6 +183,23 @@ MUTANTS = (
            "terms[:, c])", "terms[:, 0 * c])",
            ("tests/test_propagators.py::TestExactWalk::"
             "test_fine_multi_chunk_grid_matches_dense_generator_oracle",)),
+    Mutant("ladder-squares-past-zero", "src/projlind/propagators.py",
+           "                        if not ladder[-1].any():\n",
+           "                        if False:\n",
+           ("tests/test_propagators.py::TestExactWalk::"
+            "test_far_horizon_keeps_no_square_of_zero",)),
+    Mutant("phases-not-centred", "src/projlind/propagators.py",
+           "c = d.max() / 2.0 + d.min() / 2.0", "c = 0.0",
+           (CENTRED + "[2-times-1-approx-only]",
+            CENTRED + "[0.9-times-1-plus-sigma-x-compare]")),
+    Mutant("idempotency-residual-0", "src/projlind/model.py",
+           "np.linalg.norm(p @ p - p)", "np.linalg.norm(p @ p - p @ p)",
+           ("tests/test_model.py::TestValidateFamily::test_finite_idempotency_residual_fails",
+            "tests/test_model.py::TestProjectorFamily::"
+            "test_rejects_a_finite_idempotency_residual")),
+    Mutant("csv-15-digits", "src/projlind/cli.py",
+           '_CSV_ROW = ",".join(["{:.17g}"]', '_CSV_ROW = ",".join(["{:.15g}"]',
+           ("tests/test_cli.py::TestRun::test_csv_values_parse_back_to_the_same_floats",)),
     Mutant("residual-not-rescaled", "src/projlind/linalg.py",
            "a = a / 2.0 ** np.maximum(np.frexp(largest)[1] - 1, 0)", "a = a + 0.0 * largest",
            ("tests/test_model.py::TestHamiltonian::"

@@ -4,9 +4,12 @@ Each test runs ``perfbench/worker.py`` once, from the repository root with
 the checkout's ``src`` on the import path and BLAS pinned to one thread, as
 ``perfbench/run.py`` starts it. The last line of its output must be a
 strict-JSON result of a correct run whose metric names are exactly the ones
-BENCHMARK.json lists. A traced layer that is never entered, or a renamed
-target, changes those names and would otherwise show only when the
-benchmark itself is run.
+BENCHMARK.json lists. Every wrapped layer reports its calls and self time,
+0 where it is never entered, so a layer that no run enters passes. What
+changes the names is an absent target, a function that the tracer wraps
+by name and that was renamed or deleted, and a ``matexp`` that no run
+calls, which drops ``linalg.matexp.work_n3``. Either would otherwise show
+only when the benchmark itself is run.
 """
 
 import json

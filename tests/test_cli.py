@@ -49,6 +49,20 @@ class TestRun:
         assert "max trace distance" in stdout
         assert "worst positivity violation" in stdout
 
+    @pytest.mark.parametrize("source", ["driven-qubit", "random-basis"])
+    def test_csv_values_parse_back_to_the_same_floats(self, tmp_path, source):
+        if source == "driven-qubit":
+            cfg = write_preset(tmp_path, source)
+        else:
+            cfg = random_basis_config(tmp_path, np.linspace(0.0, 3.0, 10).tolist())
+        out = tmp_path / "report.csv"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out)[1:]
+        records = analysis.sweep(config.load_config(str(cfg)), "compare")
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            assert [float(s) for s in row] == list(cli._csv_row(rec))
+
     def test_driven_qubit_summary_reports_second_order(self, tmp_path, capsys):
         cfg = write_preset(tmp_path, "driven-qubit")
         out = tmp_path / "report.csv"
@@ -377,12 +391,13 @@ class TestExtremeValidConfigs:
     @pytest.mark.parametrize("mode", analysis.MODES)
     def test_closed_form_names_the_overflow_of_the_spectrum_of_t_h(self, tmp_path, capsys,
                                                                   mode, policy):
-        # H = 0.9 (1 + sigma_x) at t = 1e308: every entry of t H' is finite,
-        # but its eigenvalue 1.8e308 is not, so neither is the factor.
+        # H = 1.5 (sigma_z + sigma_x) at t = 1e308: every entry of t H' is
+        # finite, and so is every entry of t (H' - c 1), but the centred
+        # eigenvalues +-2.1e308 are not, so neither is the factor.
         out = tmp_path / "report.csv"
         grid = [0.0, 1.0, 1e308]
-        cfg = driven_qubit_with(tmp_path, hamiltonian=[[[0.9, 0.0], [0.9, 0.0]],
-                                                       [[0.9, 0.0], [0.9, 0.0]]], grid=grid)
+        cfg = driven_qubit_with(tmp_path, hamiltonian=[[[1.5, 0.0], [1.5, 0.0]],
+                                                       [[1.5, 0.0], [-1.5, 0.0]]], grid=grid)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(policy)
             code = cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)])
@@ -395,6 +410,21 @@ class TestExtremeValidConfigs:
             assert capsys.readouterr().err == ("error: propagation failed: closed-form "
                                                "propagator overflows at t = 1e+308\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    @pytest.mark.parametrize("hamiltonian", [
+        [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+        [[[0.9, 0.0], [0.9, 0.0]], [[0.9, 0.0], [0.9, 0.0]]],
+    ], ids=["2-times-1", "0.9-times-1-plus-sigma-x"])
+    def test_closed_form_takes_centred_phases(self, tmp_path, hamiltonian, mode):
+        # Only eigenvalue differences enter U' X U'^dag: the phases of
+        # 2 * 1 centre to 0 and those of 0.9 (1 + sigma_x) to +-0.9 t, so
+        # t = 1e308 overflows none of them.
+        out = tmp_path / "report.csv"
+        grid = [0.0, 1.0, 1e308]
+        cfg = driven_qubit_with(tmp_path, hamiltonian=hamiltonian, grid=grid)
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        far_report(out, mode, grid)
 
     @pytest.mark.parametrize("mode", analysis.MODES)
     @pytest.mark.parametrize("name", ["driven-qubit", "three-projector"])

@@ -140,6 +140,12 @@ class TestValidateFamily:
         assert report.failures == ("projector 0: idempotency residual nan exceeds 1e-10",)
         assert report.lines()[-2] == "result: FAIL"
 
+    def test_finite_idempotency_residual_fails(self):
+        # diag(0.5, 0) is Hermitian, and ||P P - P||_F = 0.25.
+        report = model.validate_family([(np.diag([0.5, 0.0]), 1.0)])
+        assert report.idempotency == (0.25,)
+        assert report.failures == ("projector 0: idempotency residual 2.500e-01 exceeds 1e-10",)
+
     def test_overflowing_hermiticity_residual_fails(self):
         report = model.validate_family([(np.array([[1.0, 1e308], [-1e308, 0.0]]), 1.0)])
         assert report.hermiticity[0] == np.inf
@@ -155,6 +161,11 @@ class TestProjectorFamily:
     def test_rejects_an_overflowing_projector(self):
         with pytest.raises(InvalidInputError, match="idempotency residual nan"):
             family((OVERFLOWING_PROJECTOR, 1.0))
+
+    def test_rejects_a_finite_idempotency_residual(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"idempotency residual 2\.500e-01 exceeds 1e-10"):
+            family((np.diag([0.5, 0.0]), 1.0))
 
     def test_constructor_fail_fast(self):
         with pytest.raises(InvalidInputError, match=r"\(0, 1\)"):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,24 @@ class TestExactWalk:
             for t, state in zip(grid, walked):
                 ref = (taylor_expm(t * gen) @ rho0.reshape(-1)).reshape(rho0.shape)
                 assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - ref) <= 1e-12
+
+    def test_far_horizon_keeps_no_square_of_zero(self):
+        # The ladder of the seed-1 long-time n = 8 scenario is exactly 0 long
+        # before t = 1e20; squaring on to t = 1e308 would keep about 1,000
+        # zero matrices of side 63.
+        scen = perfbench_scenarios("long-time", 1)[2]
+        peaks = []
+        for t in (1e20, 1e308):
+            scen = model.Scenario(scen.hamiltonian, scen.family, scen.initial_state,
+                                  [0.0, 1.0, t])
+            tracemalloc.start()
+            try:
+                analysis.sweep(scen, "exact-only")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert scen.dim == 8
+        assert peaks[1] <= 2.0 * peaks[0]
 
     def test_walk_matches_single_points(self):
         rng = np.random.default_rng(17)
