@@ -90,12 +90,12 @@ def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
             distance = trace_distance(exact, approx)
             gap = np.linalg.norm(exact - approx, axis=(-2, -1))
         columns = zip(times, distance.tolist(), gap.tolist(), exact_trace.tolist(),
-                      approx_trace.tolist(), min_eig.tolist())
-        for t, d, f, et, at, e in columns:
-            t = float(t)
+                      approx_trace.tolist(), min_eig.tolist(),
+                      _indicator(np.array(times, dtype=float), kappa).tolist())
+        for t, d, f, et, at, e, k in columns:
             records.append(ErrorRecord(
-                time=t, trace_distance=d, frobenius_gap=f, exact_trace=et, approx_trace=at,
-                approx_min_eigenvalue=e, bch_indicator=_indicator(t, kappa)))
+                time=float(t), trace_distance=d, frobenius_gap=f, exact_trace=et,
+                approx_trace=at, approx_min_eigenvalue=e, bch_indicator=k))
     return records
 
 

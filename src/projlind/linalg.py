@@ -2,8 +2,9 @@
 
 The Hermiticity gate and Hermitian part, the Taylor series shared by both
 exact kernels, the dense kernel's Taylor polynomial and the closed form's
-stack of unitary exponentials, on plain ``numpy`` arrays: ``complex128``, except that
-the polynomial keeps its input's dtype. Every function is pure; inputs are
+stack of unitary exponentials, which takes an eigendecomposition and takes
+none itself, on plain ``numpy`` arrays: ``complex128``, except that the
+polynomial keeps its input's dtype. Every function is pure; inputs are
 never modified.
 """
 
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .exceptions import DimensionError, InvalidInputError
 
 #: Tolerance of every validation gate in the package (relative for Hermiticity).
 VALIDATION_TOL = 1e-10
@@ -108,24 +107,16 @@ def _taylor_expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def matexp(m, ts) -> np.ndarray:
-    """The stack of exp(t m) for the times t of the 1-d ``ts``, for a square
-    ``complex128`` matrix m that equals minus its conjugate transpose to the
-    bit, m = i h with h Hermitian: one eigendecomposition h = V diag(w) V^dag
-    serves every t, as V diag(exp(i t w)) V^dag, unitary to rounding.
+def matexp(v: np.ndarray, w: np.ndarray, ts) -> np.ndarray:
+    """The stack of exp(i t h) = V diag(exp(i t w)) V^dag for the times t of
+    the 1-d ``ts``, from the eigendecomposition h = V diag(w) V^dag of a
+    Hermitian h: the n x n unitary ``v`` and the real eigenvalues ``w``. One
+    decomposition serves every t, and each factor is unitary to rounding.
 
     Where t w_k overflows, that factor is not finite (numpy warns unless the
-    caller silences it). Every other m raises :class:`InvalidInputError`, a
-    real one included: this is the closed form's exp(-i t H'), and the exact
-    kernels take their exponentials by Taylor series.
+    caller silences it). This is the closed form's exp(-i t H'), from the
+    frame's one eigendecomposition of H'; the exact kernels take their
+    exponentials by Taylor series.
     """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matexp input contains NaN or Inf entries")
-    if a.dtype != complex or not np.array_equal(a, -a.conj().T):
-        raise InvalidInputError("matexp input must be complex and exactly anti-Hermitian")
-    w, v = np.linalg.eigh(-1j * a)
     phases = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), w))
     return (v * phases[:, None, :]) @ v.conj().T

@@ -17,19 +17,19 @@ B rho = -V (G o V^dag rho V) V^dag with G_ab = 0 inside a block and
 (r_a + r_b)/2 between blocks of rates r_a, r_b. The frame is (V, G,
 H' = V^dag H V, X0 = V^dag rho0 V), with H' and X0 taken as the Hermitian
 parts of those products, so both equal their conjugate transposes to the
-bit; a state rho appears in it as V^dag rho V.
+bit; a state rho appears in it as V^dag rho V. The frame also keeps the
+one eigendecomposition H' = W diag(w) W^dag, w ascending, that every
+later use of the spectrum of H' reads.
 
 There the factorized state is U' (exp(-tG) o X0) U'^dag with
-U' = exp(-i t H'). Only differences of the eigenvalues w of H' enter it,
-so the phases are centred: U' is taken as exp(-i t (H' - c 1)), with c the
-midpoint of the largest and smallest diagonal entries of H'. They lie in
-[w_min, w_max], so |w_k - c| <= w_max - w_min. -i (H' - c 1) is
-anti-Hermitian to the bit, the one input that
-:func:`projlind.linalg.matexp` takes, so one eigendecomposition
-H' - c 1 = W diag(w - c) W^dag per chunk of times gives each factor of the
-chunk as W diag(exp(-i t (w - c))) W^dag. Where t (w_k - c) overflows,
-there is no factor to take, and the closed form raises an error that gives
-that t; a common phase, as of H = 2 * 1, never overflows.
+U' = exp(-i t H'). Only differences of the eigenvalues w enter it, so the
+phases are centred on the midpoint c = (w_min + w_max)/2 of the spectrum:
+U' is taken as W diag(exp(-i t (w - c))) W^dag, by
+:func:`projlind.linalg.matexp` once per chunk of times, and
+|w_k - c| <= (w_max - w_min)/2 (Moler & Van Loan, SIAM Rev. 45, 3 (2003),
+on the eigenvector route to exp(tM) for normal M). Where t (w_k - c)
+overflows, there is no factor to take, and the closed form raises an error
+that gives that t; a common phase, as of H = 2 * 1, never overflows.
 The Schur factor is the paper's pair expansion
 prod_j (1 + (e^{-lambda_j t/2} - 1) R_j), with
 R_j = P_j kron Q_j^T + Q_j kron P_j^T, summed in closed form; the literal
@@ -41,8 +41,10 @@ bounds it by
     (1/2) ||[tA, tB]||_F = (t^2/2) sqrt(2 sum_{a,c} |H'_ac|^2 D_ac),
     D_ac = sum_x (G_xa - G_xc)^2,
 
-whose square root is computed once per scenario. Neither forms an
-n^2 x n^2 array.
+whose square root is computed once per scenario, as a mantissa and a
+binary exponent: the indicator is then finite wherever (t^2/2) ||[A, B]||_F
+is, even where ||[A, B]||_F itself overflows. Neither forms an n^2 x n^2
+array.
 
 The exact generator in the frame, L(X) = -i (H'X - XH') - G o X, preserves
 Hermiticity and the trace, and it has two kernels. Each walks the grid on
@@ -78,8 +80,8 @@ bounds ||L|| in the norm induced by the Frobenius norm: in the eigenbasis
 of H' the commutator part multiplies the (a, b) element by -i (w_a - w_b),
 so it is normal with spectral radius w_max - w_min, and the decay part
 multiplies the (a, b) element by -G_ab, so its norm is max G; the
-triangle inequality adds them. nu costs one eigvalsh of H' per scenario,
-and nu = 0 (n = 1, or H' a multiple of 1 with no decay) takes no series.
+triangle inequality adds them. nu reads w from the frame, and nu = 0
+(n = 1, or H' a multiple of 1 with no decay) takes no series.
 Each series goes up to degree 28 at tau nu = 3, and the kernel advances
 a cell by summing one. The dense output's weights are real, so it is as
 Hermitian as the terms. Up to time t the kernel takes ceil(t nu / 3)
@@ -162,8 +164,8 @@ Both kernels share one applicator of L, the bound nu, the Taylor
 stopping rule, the cell rule and the dense output. The unstructured route
 exp(t (A + B)) is an oracle in the test suite.
 
-The closed form takes one eigendecomposition of H' - c 1 per chunk. Both
-paths work on chunks of at most _CHUNK consecutive times and yield one
+The closed form takes no eigendecomposition of its own. Both paths
+work on chunks of at most _CHUNK consecutive times and yield one
 (b, n, n) stack of states per chunk: the exact kernels collect a chunk's
 states (the dense one rebuilds them from its coordinate vectors in one
 call), and the closed form applies its unitary factors as stacked
@@ -199,16 +201,20 @@ _CONTRACTION_SLACK = 16.0
 
 
 class _Frame(NamedTuple):
-    """(V, G, H', X0) of the module docstring."""
+    """(V, G, H', X0) of the module docstring, and the eigendecomposition
+    H' = W diag(w) W^dag, w ascending."""
 
     v: np.ndarray
     g: np.ndarray
     h: np.ndarray
     x0: np.ndarray
+    w: np.ndarray
+    wv: np.ndarray
 
 
 def _frame(scenario: Scenario) -> _Frame:
-    """The scenario's frame, from one eigendecomposition; H' and X0 are
+    """The scenario's frame, from two eigendecompositions: one of the
+    projectors' weights for V, one of H' for its spectrum. H' and X0 are
     made exactly Hermitian here, and nowhere else.
 
     The eigenvalues of sum_j j P_j (j from 1) label the columns of V: j for
@@ -226,8 +232,9 @@ def _frame(scenario: Scenario) -> _Frame:
     g = np.where(labels[:, None] == labels[None, :], 0.0,
                  rates[:, None] / 2.0 + rates[None, :] / 2.0)
     vh = v.conj().T
-    return _Frame(v, g, _hermitian_part(vh @ scenario.hamiltonian.matrix @ v),
-                  _hermitian_part(vh @ scenario.initial_state.matrix @ v))
+    h = _hermitian_part(vh @ scenario.hamiltonian.matrix @ v)
+    return _Frame(v, g, h, _hermitian_part(vh @ scenario.initial_state.matrix @ v),
+                  *np.linalg.eigh(h))
 
 
 def _check_time(t) -> float:
@@ -248,8 +255,8 @@ def exact_propagate(scenario: Scenario, t) -> np.ndarray:
 def approx_propagate_closed(scenario: Scenario, t) -> np.ndarray:
     """Closed-form splitting approximation U exp(tB)(rho0) U^dag with
     U = exp(-i t H): the frame's V U' (exp(-tG) o X0) U'^dag V^dag, at the
-    cost of one eigendecomposition of H' and a few n x n products, whatever
-    the number of projectors.
+    cost of the frame and a few n x n products, whatever the number of
+    projectors.
 
     Returns the lab-frame state as a plain ndarray, still unvalidated."""
     return _propagate(scenario, t, _approx_states)
@@ -273,26 +280,33 @@ def bch_error_indicator(scenario: Scenario, t) -> float:
     (Jahnke & Lubich, BIT 40 (2000); Childs et al., PRX 11, 011020 (2021)).
     """
     t = _check_time(t)
-    return _indicator(t, _bch_constant(_frame(scenario)))
+    return float(_indicator(t, _bch_constant(_frame(scenario))))
 
 
-def _indicator(t: float, kappa: float) -> float:
-    """(t^2/2) kappa, exactly 0 for a commuting scenario even where t^2
-    overflows."""
-    return 0.5 * t * t * kappa if kappa else 0.0
+def _indicator(ts, kappa: tuple[float, int]) -> np.ndarray:
+    """(t^2/2) kappa at the times ``ts``, for kappa = s 2^e given as (s, e).
+
+    The mantissas of t and kappa are multiplied and the exponents added, so
+    the result is 0 at t = 0 and for a commuting scenario, finite wherever
+    the product is, even where t^2 or kappa overflows, and inf only where
+    the product does; elsewhere it is 0.5 t t kappa to the bit.
+    """
+    (ft, et), (s, e) = np.frexp(ts), kappa
+    with np.errstate(over="ignore"):
+        return np.ldexp(0.5 * ft * ft * s, 2 * et + e)
 
 
-def _bch_constant(frame: _Frame) -> float:
-    """||[A, B]||_F = sqrt(2 sum_{a,c} |H'_ac|^2 D_ac), independent of t."""
+def _bch_constant(frame: _Frame) -> tuple[float, int]:
+    """||[A, B]||_F = sqrt(2 sum_{a,c} |H'_ac|^2 D_ac), independent of t, as
+    (s, e) with ||[A, B]||_F = s 2^e, which may lie past the float range."""
     # |H'| and G scaled by powers of two to at most 1, so no square
-    # overflows and no digit changes; only the result may overflow, to inf.
+    # overflows and no digit changes.
     eh, eg = np.frexp(np.abs(frame.h).max())[1], np.frexp(frame.g.max())[1]
     h, g = np.ldexp(np.abs(frame.h), -eh), np.ldexp(frame.g, -eg)
     # Direct differences: equal-label columns give D = 0 exactly, where an
     # expansion into squares would leave cancellation noise.
     d = ((g[:, :, None] - g[:, None, :]) ** 2).sum(0)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.sqrt(2.0 * np.sum(h ** 2 * d)), eh + eg))
+    return float(np.sqrt(2.0 * np.sum(h ** 2 * d))), int(eh + eg)
 
 
 def _chunks(times):
@@ -307,22 +321,18 @@ def _approx_states(frame: _Frame, times):
     """Yield the factorized states U' (exp(-tG) o X0) U'^dag in the frame
     at the ``times``, one (b, n, n) stack per chunk.
 
-    U' is exp(-i t (H' - c 1)), c the midpoint of the diagonal of H': only
-    differences of the eigenvalues w of H' enter the state, and the centred
-    phases t (w_k - c) overflow only where t (w_max - w_min) is near the
-    float range.
+    U' is W diag(exp(-i t (w - c))) W^dag, from the frame's H' = W diag(w)
+    W^dag, with c the midpoint of the spectrum: only differences of the
+    eigenvalues enter the state, and the centred phases t (w_k - c)
+    overflow only where t (w_max - w_min) / 2 does.
     """
-    d = frame.h.diagonal().real
-    c = d.max() / 2.0 + d.min() / 2.0
-    mih = -1j * (frame.h - c * np.eye(len(d)))
+    c = frame.w[-1] / 2.0 + frame.w[0] / 2.0
     for chunk in _chunks(times):
         ts = np.array(chunk)
-        # -i (H' - c 1) is exactly anti-Hermitian, so one eigendecomposition
-        # gives the chunk's factors, each unitary to rounding; where
-        # t (w_k - c) overflows there is no factor to take. t G may overflow
-        # to inf, where the decay is exactly 0.
+        # Where t (w_k - c) overflows there is no factor to take. t G may
+        # overflow to inf, where the decay is exactly 0.
         with np.errstate(over="ignore", invalid="ignore"):
-            u = matexp(mih, ts)
+            u = matexp(frame.wv, frame.w - c, -ts)
             decayed = np.exp(-ts[:, None, None] * frame.g) * frame.x0
         finite = np.isfinite(u).all(axis=(1, 2))
         if not finite.all():
@@ -372,8 +382,7 @@ def _exact_states(frame: _Frame, times):
 
 def _norm_bound(frame: _Frame) -> float:
     """nu = (w_max - w_min) + max G >= ||L|| of the module docstring."""
-    w = np.linalg.eigvalsh(frame.h)
-    return float(w[-1] - w[0] + frame.g.max())
+    return float(frame.w[-1] - frame.w[0] + frame.g.max())
 
 
 def _generator(frame: _Frame):

@@ -41,6 +41,11 @@ SWEEP = "tests/test_analysis.py::TestSweep::"
 EXPM_40 = "tests/test_linalg.py::test_taylor_expm_matches_40_digit_reference"
 LOST = "tests/test_cli.py::TestContractionCheck::test_lost_accuracy_names_its_time"
 CENTRED = "tests/test_cli.py::TestExtremeValidConfigs::test_closed_form_takes_centred_phases"
+SPECTRUM = "tests/test_cli.py::TestExtremeValidConfigs::test_closed_form_centres_on_the_spectrum"
+INDICATOR = "tests/test_cli.py::TestExtremeValidConfigs::" \
+            "test_indicator_past_the_float_range_of_its_constant"
+FAR_N24 = "tests/test_cli.py::TestFarHorizonMemory::test_damped_n24_on_a_far_grid_runs_within_1_gb"
+MODEL = "tests/test_model.py::"
 
 
 class Mutant(NamedTuple):
@@ -57,8 +62,8 @@ MUTANTS = (
            ("tests/test_linalg.py::"
             "test_taylor_action_stops_at_the_first_bound_below_half_the_unit_roundoff",)),
     Mutant("norm-bound-half-spread", "src/projlind/propagators.py",
-           "return float(w[-1] - w[0] + frame.g.max())",
-           "return float((w[-1] - w[0]) / 2 + frame.g.max())",
+           "return float(frame.w[-1] - frame.w[0] + frame.g.max())",
+           "return float((frame.w[-1] - frame.w[0]) / 2 + frame.g.max())",
            ("tests/test_propagators.py::TestExactWalk::"
             "test_walk_matches_dense_generator_oracle[grid0-1.0]",
             "tests/test_propagators.py::TestExactWalk::test_ladder_takes_one_bound",
@@ -95,9 +100,13 @@ MUTANTS = (
            "bad = ~np.isfinite(norms)",
            (LOST + "[two-qubit-rank2-1e+18-exact-only-error]",)),
     Mutant("indicator-inf-times-zero", "src/projlind/propagators.py",
-           "return 0.5 * t * t * kappa if kappa else 0.0", "return 0.5 * t * t * kappa",
+           "return np.ldexp(0.5 * ft * ft * s, 2 * et + e)",
+           "return 0.5 * ts * ts * np.ldexp(s, e)",
            ("tests/test_propagators.py::TestBchErrorIndicator::"
-            "test_commuting_scenario_gives_zero",)),
+            "test_commuting_scenario_gives_zero",
+            "tests/test_propagators.py::TestBchErrorIndicator::"
+            "test_constant_past_the_float_range",
+            INDICATOR + "[exact-only]")),
     Mutant("trace-distance-gate-any", "src/projlind/analysis.py",
            "if not np.all(hermiticity_residual(m) <= VALIDATION_TOL):",
            "if not np.any(hermiticity_residual(m) <= VALIDATION_TOL):",
@@ -149,12 +158,13 @@ MUTANTS = (
            "return a[..., 0] + 1j * a[..., 1]",
            ("tests/test_config.py::TestRoundTrip::test_roundtrip_is_bit_exact",)),
     Mutant("frame-not-hermitian", "src/projlind/propagators.py",
-           "return _Frame(v, g, _hermitian_part(vh @ scenario.hamiltonian.matrix @ v),\n"
-           "                  _hermitian_part(vh @ scenario.initial_state.matrix @ v))",
-           "return _Frame(v, g, vh @ scenario.hamiltonian.matrix @ v,\n"
-           "                  vh @ scenario.initial_state.matrix @ v)",
+           "h = _hermitian_part(vh @ scenario.hamiltonian.matrix @ v)\n"
+           "    return _Frame(v, g, h, _hermitian_part(vh @ scenario.initial_state.matrix @ v),",
+           "h = vh @ scenario.hamiltonian.matrix @ v\n"
+           "    return _Frame(v, g, h, vh @ scenario.initial_state.matrix @ v,",
            ("tests/test_propagators.py::TestFrame::test_frame_is_exactly_hermitian",
-            "tests/test_cli.py::TestRandomBasisFarTime::test_gives_a_finite_report[approx-only]")),
+            "tests/test_propagators.py::TestMatrixFreeKernel::"
+            "test_states_are_exactly_hermitian_with_unit_trace")),
     Mutant("decay-product-warns", "src/projlind/propagators.py",
            'with np.errstate(over="ignore", invalid="ignore"):\n            u = matexp',
            "if True:\n            u = matexp",
@@ -187,11 +197,16 @@ MUTANTS = (
            "                        if not ladder[-1].any():\n",
            "                        if False:\n",
            ("tests/test_propagators.py::TestExactWalk::"
-            "test_far_horizon_keeps_no_square_of_zero",)),
+            "test_far_horizon_keeps_no_square_of_zero",
+            FAR_N24 + "[exact-only]", FAR_N24 + "[compare]")),
     Mutant("phases-not-centred", "src/projlind/propagators.py",
-           "c = d.max() / 2.0 + d.min() / 2.0", "c = 0.0",
+           "c = frame.w[-1] / 2.0 + frame.w[0] / 2.0", "c = 0.0",
            (CENTRED + "[2-times-1-approx-only]",
             CENTRED + "[0.9-times-1-plus-sigma-x-compare]")),
+    Mutant("phases-centred-on-the-diagonal", "src/projlind/propagators.py",
+           "c = frame.w[-1] / 2.0 + frame.w[0] / 2.0",
+           "c = frame.h.diagonal().real.max() / 2.0 + frame.h.diagonal().real.min() / 2.0",
+           (SPECTRUM + "[approx-only]", SPECTRUM + "[compare]")),
     Mutant("idempotency-residual-0", "src/projlind/model.py",
            "np.linalg.norm(p @ p - p)", "np.linalg.norm(p @ p - p @ p)",
            ("tests/test_model.py::TestValidateFamily::test_finite_idempotency_residual_fails",
@@ -204,6 +219,35 @@ MUTANTS = (
            "a = a / 2.0 ** np.maximum(np.frexp(largest)[1] - 1, 0)", "a = a + 0.0 * largest",
            ("tests/test_model.py::TestHamiltonian::"
             "test_accepts_a_hermitian_matrix_whose_squared_norm_overflows",)),
+    # The contracts: each 1e-10 gate at 1e-6, and the noise floor at 1e-10.
+    Mutant("hamiltonian-gate-1e-6", "src/projlind/model.py",
+           'if not residual <= VALIDATION_TOL:\n            raise InvalidInputError(f"Hamiltonian',
+           'if not residual <= 1e-6:\n            raise InvalidInputError(f"Hamiltonian',
+           (MODEL + "TestHamiltonian::test_hermiticity_gate_boundary[twice]",)),
+    Mutant("density-hermiticity-gate-1e-6", "src/projlind/model.py",
+           'if not residual <= VALIDATION_TOL:\n            raise InvalidInputError(f"density',
+           'if not residual <= 1e-6:\n            raise InvalidInputError(f"density',
+           (MODEL + "TestDensityMatrix::test_hermiticity_gate_boundary[twice]",)),
+    Mutant("density-trace-gate-1e-6", "src/projlind/model.py",
+           "if not abs(tr - 1.0) <= VALIDATION_TOL:", "if not abs(tr - 1.0) <= 1e-6:",
+           (MODEL + "TestDensityMatrix::test_trace_gate_boundary[twice]",)),
+    Mutant("density-eigenvalue-gate-1e-6", "src/projlind/model.py",
+           "if not min_eig >= -VALIDATION_TOL:", "if not min_eig >= -1e-6:",
+           (MODEL + "TestDensityMatrix::test_eigenvalue_gate_boundary[twice]",)),
+    Mutant("projector-gate-1e-6", "src/projlind/model.py",
+           "if not res <= VALIDATION_TOL:\n                failures.append(\n"
+           '                    f"projector {j}',
+           "if not res <= 1e-6:\n                failures.append(\n"
+           '                    f"projector {j}',
+           (MODEL + "TestProjectorFamily::test_hermiticity_gate_boundary[twice]",)),
+    Mutant("gram-gate-1e-6", "src/projlind/model.py",
+           'if not residual <= VALIDATION_TOL:\n        raise InvalidInputError(f"vectors',
+           'if not residual <= 1e-6:\n        raise InvalidInputError(f"vectors',
+           (MODEL + "TestProjectorFromVectors::test_gram_gate_boundary[twice]",)),
+    Mutant("gap-noise-floor-1e-10", "src/projlind/analysis.py",
+           "GAP_NOISE_FLOOR = 1e-14", "GAP_NOISE_FLOOR = 1e-10",
+           ("tests/test_analysis.py::TestConvergenceOrder::"
+            "test_fit_between_the_floor_and_the_gates",)),
 )
 
 

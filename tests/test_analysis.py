@@ -294,11 +294,13 @@ class TestSweep:
             assert np.isnan([only_a.trace_distance, only_a.frobenius_gap]).all()
             assert np.isnan(only_e.approx_trace) and np.isnan(only_a.exact_trace)
 
-    @pytest.mark.parametrize("mode, per_chunk", [
-        ("compare", 1), ("approx-only", 1), ("exact-only", 0)])
-    def test_one_frame_per_sweep(self, monkeypatch, mode, per_chunk):
-        # One eigh builds the projector frame for the whole grid; each chunk
-        # of the closed form adds one eigh of H' for all its unitary factors.
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_one_frame_per_sweep(self, monkeypatch, mode):
+        # The frame takes one eigh of the projectors' weights for V and one
+        # of H' for its spectrum, which sets nu, the centred phases and
+        # every unitary factor of the closed form, whatever the number of
+        # chunks; no n x n eigvalsh follows. The metrics' stacked eigvalsh
+        # is not counted.
         rng = np.random.default_rng(5)
         ps = rand_orthogonal_projectors(5, [2, 1, 1], rng)
         members = list(zip(ps, (0.5, 1.0, 2.0)))
@@ -306,15 +308,21 @@ class TestSweep:
         scen = make_scenario(rand_hermitian(5, rng), members, rand_density(5, rng),
                              np.linspace(0.0, 2.0, count))
         calls = []
-        original = np.linalg.eigh
 
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return original(a, *args, **kwargs)
+        def counting(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            def counted(a, *args, **kwargs):
+                if np.shape(a) == (5, 5):
+                    calls.append(name)
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        counting("eigh")
+        counting("eigvalsh")
         assert len(analysis.sweep(scen, mode)) == count
-        assert calls == [(5, 5)] * (1 + 3 * per_chunk)
+        assert calls == ["eigh", "eigh"]
 
     def test_stiff_limit_is_maximally_mixed(self):
         # n = 8, ranks [2, 1, 2], ||H||_2 = 5: the generator's only zero mode
@@ -400,6 +408,15 @@ class TestConvergenceOrder:
     def test_noise_floor_points_excluded(self):
         ts = np.array([0.01, 0.02, 0.1, 0.2, 0.4])
         gaps = np.array([1e-16, 1e-15, *(0.3 * ts[2:] ** 2)])
+        assert analysis.convergence_order(self._records(ts, gaps)) \
+            == pytest.approx(2.0, abs=1e-12)
+
+    def test_fit_between_the_floor_and_the_gates(self):
+        # Gaps from 1.2e-14 to 7.7e-11, all above the noise floor and below
+        # the 1e-10 gates, give their slope.
+        ts = np.geomspace(2e-7, 1.6e-5, 5)
+        gaps = 0.3 * ts ** 2
+        assert gaps.min() > analysis.GAP_NOISE_FLOOR and gaps.max() < 1e-10
         assert analysis.convergence_order(self._records(ts, gaps)) \
             == pytest.approx(2.0, abs=1e-12)
 

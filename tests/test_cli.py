@@ -1,6 +1,11 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +14,10 @@ import pytest
 from projlind import analysis, cli, config, presets, propagators
 from projlind.model import DensityMatrix, Hamiltonian, ProjectorFamily, Scenario
 
-from oracles import perfbench_configs
+from oracles import (perfbench_configs, rand_density, rand_hermitian,
+                     rand_orthogonal_projectors)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 NON_ORTHOGONAL = {
     "dimension": 2,
@@ -143,7 +151,7 @@ class TestRun:
 
         monkeypatch.setattr("projlind.analysis._exact_states", boom)
         # Nor does the dense kernel's polynomial run: the closed form's
-        # unitary factor is matexp's eigendecomposition.
+        # unitary factors come from the frame's eigendecomposition of H'.
         monkeypatch.setattr("projlind.propagators._taylor_expm", boom)
         assert cli.main(["run", "--config", str(cfg), "--mode", "approx-only",
                          "--out", str(out)]) == 0
@@ -370,9 +378,9 @@ class TestExtremeValidConfigs:
 
     @pytest.mark.parametrize("mode", analysis.MODES)
     def test_closed_form_names_the_overflow_of_t_h(self, tmp_path, capsys, mode):
-        # H = 2 sigma_x at t = 1e308: -i t H' overflows, so the closed form
-        # has no unitary factor to take and says so. The exact path forms no
-        # such product and reports.
+        # H = 2 sigma_x at t = 1e308: the centred phases +-2 t overflow, so
+        # the closed form has no unitary factor to take and says so. The
+        # exact path forms no such product and reports.
         out = tmp_path / "report.csv"
         grid = [0.0, 1.0, 1e308]
         cfg = driven_qubit_with(tmp_path, hamiltonian=[[[0.0, 0.0], [2.0, 0.0]],
@@ -392,8 +400,8 @@ class TestExtremeValidConfigs:
     def test_closed_form_names_the_overflow_of_the_spectrum_of_t_h(self, tmp_path, capsys,
                                                                   mode, policy):
         # H = 1.5 (sigma_z + sigma_x) at t = 1e308: every entry of t H' is
-        # finite, and so is every entry of t (H' - c 1), but the centred
-        # eigenvalues +-2.1e308 are not, so neither is the factor.
+        # finite, but the centred phases +-2.1e308 are not, so neither is
+        # the factor.
         out = tmp_path / "report.csv"
         grid = [0.0, 1.0, 1e308]
         cfg = driven_qubit_with(tmp_path, hamiltonian=[[[1.5, 0.0], [1.5, 0.0]],
@@ -425,6 +433,35 @@ class TestExtremeValidConfigs:
         cfg = driven_qubit_with(tmp_path, hamiltonian=hamiltonian, grid=grid)
         assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
         far_report(out, mode, grid)
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_closed_form_centres_on_the_spectrum(self, tmp_path, mode):
+        # H' has the spectrum -1, 1, 1.8 and the diagonal 1.8, 0, 0: phases
+        # centred on the spectrum, at 0.4, lie within +-1.4 t; centred on
+        # the diagonal, at 0.9, the phase -1.9 t overflows at t = 1e308.
+        grid = [0.0, 1.0, 1e308]
+        scen = Scenario(Hamiltonian(np.array([[1.8, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                              [0.0, 1.0, 0.0]])),
+                        ProjectorFamily(((np.diag([0.0, 1.0, 0.0]), 1.0),)),
+                        DensityMatrix(np.full((3, 3), 1.0 / 3.0)), grid)
+        cfg, out = tmp_path / "off-centre.json", tmp_path / "report.csv"
+        cfg.write_text(config.dumps_config(scen))
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        far_report(out, mode, grid)
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_indicator_past_the_float_range_of_its_constant(self, tmp_path, mode):
+        # ||[A, B]||_F = sqrt(2) 1e400 overflows, but (t^2/2) ||[A, B]||_F
+        # does not: it is 0 at t = 0 and sqrt(2)/2 1e-200 and 1e-100 after.
+        grid = [0.0, 1e-300, 1e-250]
+        cfg = driven_qubit_with(tmp_path, hamiltonian=HUGE_H, rate=1e200, grid=grid)
+        out = tmp_path / "report.csv"
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        got = [float(row[-1]) for row in finite_report(out, mode)]
+        scen = config.load_config(str(cfg))
+        assert got == [propagators.bch_error_indicator(scen, t) for t in grid]
+        assert got[0] == 0.0
+        assert got[1:] == pytest.approx([0.5 ** 0.5 * 1e-200, 0.5 ** 0.5 * 1e-100], rel=1e-14)
 
     @pytest.mark.parametrize("mode", analysis.MODES)
     @pytest.mark.parametrize("name", ["driven-qubit", "three-projector"])
@@ -511,6 +548,38 @@ class TestContractionCheck:
         assert len(finite_report(out, mode)) == 3
 
 
+class TestFarHorizonMemory:
+    # A damped scenario's ladder is exactly 0 long before t = 1e308, and
+    # keeps no square past that: n = 24 reports within 1 GB of address
+    # space, where squaring on to 1e308 would ask for about 2.7 GB.
+    LIMIT = 1 << 30
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_damped_n24_on_a_far_grid_runs_within_1_gb(self, tmp_path, mode):
+        rng = np.random.default_rng(24)
+        h = rand_hermitian(24, rng)
+        w = np.linalg.eigvalsh(h)
+        projectors = rand_orthogonal_projectors(24, [1] * 24, rng)
+        grid = [0.0, 1.0, 1e308]
+        scen = Scenario(Hamiltonian(h / (w[-1] - w[0])),
+                        ProjectorFamily(tuple((p, float(rng.uniform(0.5, 2.0)))
+                                              for p in projectors)),
+                        DensityMatrix(rand_density(24, rng)), grid)
+        cfg, out = tmp_path / "damped.json", tmp_path / "report.csv"
+        cfg.write_text(config.dumps_config(scen))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "projlind", "run",
+             "--config", str(cfg), "--mode", mode, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (self.LIMIT, self.LIMIT)))
+        assert proc.returncode == 0, proc.stderr
+        far_report(out, mode, grid)
+
+
 def random_basis_config(tmp_path, grid):
     """n = 6, with three projectors of ranks 2, 1 and 3 cut from one random
     unitary, so that V^dag H V is Hermitian only to rounding."""
@@ -529,9 +598,9 @@ def random_basis_config(tmp_path, grid):
 
 
 class TestRandomBasisFarTime:
-    # -i H' is anti-Hermitian to the bit, so the closed form's unitary
-    # factors come from matexp's eigendecomposition even at t = 1e200,
-    # where a per-point symmetry gate on -i t H' would misfire.
+    # The closed form's unitary factors come from the frame's one
+    # eigendecomposition of H', which is Hermitian to the bit, even at
+    # t = 1e200, where a per-point symmetry gate on -i t H' would misfire.
     @pytest.mark.parametrize("mode", analysis.MODES)
     def test_gives_a_finite_report(self, tmp_path, mode):
         out = tmp_path / "report.csv"

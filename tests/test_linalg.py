@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projlind import linalg
-from projlind.exceptions import DimensionError, InvalidInputError
 
 from oracles import rand_hermitian, taylor_expm
 
@@ -24,31 +23,32 @@ def test_vectorization_identity_random():
 
 
 def test_matexp_zero_is_identity():
-    out = linalg.matexp(np.zeros((4, 4), dtype=complex), [0.0, 1.0, -2.5])
+    out = linalg.matexp(np.eye(4), np.zeros(4), [0.0, 1.0, -2.5])
     assert out.shape == (3, 4, 4)
     assert_allclose(out, np.broadcast_to(np.eye(4), out.shape), atol=1e-15)
 
 
 def test_matexp_diagonal():
     ts = np.array([1.0, 0.0, -3.0, 1e3])
-    out = linalg.matexp(np.diag([0.3j, -1.2j]), ts)
+    out = linalg.matexp(np.eye(2), np.array([0.3, -1.2]), ts)
     for t, u in zip(ts, out):
         assert_allclose(u, np.diag([np.exp(0.3j * t), np.exp(-1.2j * t)]), rtol=1e-14)
 
 
 @pytest.mark.parametrize("target_norm", [0.01, 0.5, 3.0, 10.0, 100.0])
 def test_matexp_matches_series_oracle(target_norm):
-    # Exactly anti-Hermitian input, the only kind matexp takes: each member
-    # of the stack is the series oracle's exp(t m), and unitary to rounding.
+    # Each member of the stack is the series oracle's exp(i t h), from the
+    # eigendecomposition of the Hermitian h, and unitary to rounding.
     rng = np.random.default_rng(int(target_norm * 100))
     ts = (1.0, 0.25, -0.5)
     for _ in range(4):
-        m = 1j * rand_hermitian(5, rng)
-        m *= target_norm / np.linalg.norm(m)
-        stack = linalg.matexp(m, ts)
+        h = rand_hermitian(5, rng)
+        h *= target_norm / np.linalg.norm(h)
+        w, v = np.linalg.eigh(h)
+        stack = linalg.matexp(v, w, ts)
         assert stack.shape == (len(ts), 5, 5)
         for t, u in zip(ts, stack):
-            ref = taylor_expm(t * m)
+            ref = taylor_expm(1j * t * h)
             assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.linalg.norm(u.conj().T @ u - np.eye(5)) <= 1e-13
 
@@ -56,36 +56,11 @@ def test_matexp_matches_series_oracle(target_norm):
 def test_matexp_inverse_pair():
     rng = np.random.default_rng(23)
     for _ in range(6):
-        m = 1j * rand_hermitian(4, rng)
-        m *= 10.0 / np.linalg.norm(m)
-        u, v = linalg.matexp(m, [1.0, -1.0])
+        h = rand_hermitian(4, rng)
+        h *= 10.0 / np.linalg.norm(h)
+        w, q = np.linalg.eigh(h)
+        u, v = linalg.matexp(q, w, [1.0, -1.0])
         assert np.linalg.norm(u @ v - np.eye(4)) <= 1e-10
-
-
-def test_matexp_rejects_bad_inputs():
-    with pytest.raises(DimensionError):
-        linalg.matexp(np.zeros((2, 3)), [1.0])
-    bad = np.zeros((2, 2))
-    bad[0, 0] = np.nan
-    with pytest.raises(InvalidInputError):
-        linalg.matexp(bad, [1.0])
-
-
-@pytest.mark.parametrize("m", [
-    # exp(m) = I + m, which no unitary is.
-    np.array([[0.0, 1e200], [0.0, 0.0]]),
-    1j * np.array([[0.0, 1e200], [0.0, 0.0]]),
-    # Real input, even anti-Hermitian or zero.
-    np.zeros((3, 3)),
-    np.array([[0.0, 1.0], [-1.0, 0.0]]),
-    np.diag([0.3, -1.2]),
-    # Anti-Hermitian only to rounding.
-    np.array([[0.5j, 1.0 + 2.0j], [-1.0 + 2.0j + 1e-16, -0.25j]]),
-    np.array([[0.5j, 1.0 + 2.0j], [-1.0 + 2.0j, 1e-300 - 0.25j]]),
-])
-def test_matexp_refuses_all_but_exactly_anti_hermitian_input(m):
-    with pytest.raises(InvalidInputError, match="exactly anti-Hermitian"):
-        linalg.matexp(m, [1.0])
 
 
 def test_taylor_expm_of_zero_and_of_a_nilpotent_is_exact():

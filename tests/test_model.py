@@ -31,6 +31,26 @@ def family(*pairs, dim=0):
     return model.ProjectorFamily(tuple(pairs), dim=dim)
 
 
+#: Residuals at half and at twice the tolerance of every validation gate.
+AT_THE_GATE = pytest.mark.parametrize("factor", [0.5, 2.0], ids=["half", "twice"])
+
+
+def gated(factor, message, build):
+    """``build()`` is accepted for a residual at half the tolerance and
+    rejected with ``message`` at twice it."""
+    if factor < 1.0:
+        build()
+    else:
+        with pytest.raises(InvalidInputError, match=message):
+            build()
+
+
+def off_diagonal(factor):
+    """d with sqrt(2) d = factor * VALIDATION_TOL: the Frobenius residual of
+    a 2 x 2 matrix whose (0, 1) entry exceeds its (1, 0) entry by d."""
+    return factor * linalg.VALIDATION_TOL / np.sqrt(2.0)
+
+
 class TestDensityMatrix:
     def test_valid(self):
         rho = model.DensityMatrix(0.5 * np.eye(2))
@@ -67,6 +87,24 @@ class TestDensityMatrix:
             model.DensityMatrix(np.array([[0.5, z], [z.conjugate(), 0.5]]))
         assert "negative" not in str(excinfo.value)
 
+    @AT_THE_GATE
+    def test_hermiticity_gate_boundary(self, factor):
+        d = off_diagonal(factor)
+        gated(factor, "density matrix is not Hermitian",
+              lambda: model.DensityMatrix(np.array([[0.5, d], [0.0, 0.5]])))
+
+    @AT_THE_GATE
+    def test_trace_gate_boundary(self, factor):
+        d = factor * linalg.VALIDATION_TOL
+        gated(factor, "density matrix trace is",
+              lambda: model.DensityMatrix(np.diag([0.5, 0.5 + d])))
+
+    @AT_THE_GATE
+    def test_eigenvalue_gate_boundary(self, factor):
+        d = factor * linalg.VALIDATION_TOL
+        gated(factor, "density matrix has negative eigenvalue",
+              lambda: model.DensityMatrix(np.diag([1.0 + d, -d])))
+
     def test_names_a_negative_eigenvalue_near_the_float_range(self):
         # The Hermitian part is halved before its sum, so it does not
         # overflow, and the gate reports the true eigenvalue.
@@ -86,6 +124,13 @@ class TestHamiltonian:
     def test_rejects_an_overflowing_hermiticity_residual(self):
         with pytest.raises(InvalidInputError, match=r"residual 1\.414e\+00"):
             model.Hamiltonian(OVERFLOWING_NON_HERMITIAN)
+
+    @AT_THE_GATE
+    def test_hermiticity_gate_boundary(self, factor):
+        # ||m||_F < 1, so the relative residual is the absolute one.
+        d = off_diagonal(factor)
+        gated(factor, "Hamiltonian is not Hermitian",
+              lambda: model.Hamiltonian(np.array([[0.0, 0.1 + d], [0.1, 0.0]])))
 
     @pytest.mark.parametrize("scale", [1e150, 1e155, 1e200])
     def test_accepts_a_hermitian_matrix_whose_squared_norm_overflows(self, scale):
@@ -162,6 +207,13 @@ class TestProjectorFamily:
         with pytest.raises(InvalidInputError, match="idempotency residual nan"):
             family((OVERFLOWING_PROJECTOR, 1.0))
 
+    @AT_THE_GATE
+    def test_hermiticity_gate_boundary(self, factor):
+        # [[1, d], [0, 0]] is idempotent to the bit.
+        d = off_diagonal(factor)
+        gated(factor, "projector 0: hermiticity residual",
+              lambda: family((np.array([[1.0, d], [0.0, 0.0]]), 1.0)))
+
     def test_rejects_a_finite_idempotency_residual(self):
         with pytest.raises(InvalidInputError,
                            match=r"idempotency residual 2\.500e-01 exceeds 1e-10"):
@@ -201,6 +253,14 @@ class TestProjectorFromVectors:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(InvalidInputError, match="orthonormal"):
             model.projector_from_vectors([np.array([1, 0]), np.array([1, 1]) / np.sqrt(2)])
+
+    @AT_THE_GATE
+    def test_gram_gate_boundary(self, factor):
+        # Gram matrix [[1, d], [d, 1 + d^2]]: residual sqrt(2) d to first order.
+        d = off_diagonal(factor)
+        gated(factor, "vectors are not orthonormal",
+              lambda: model.projector_from_vectors([np.array([1.0, 0.0]),
+                                                    np.array([d, 1.0])]))
 
 
 class TestApplyDissipator:

@@ -404,8 +404,8 @@ class TestFrame:
         assert not parts
 
     def test_closed_form_never_takes_taylor_expm(self, monkeypatch):
-        # -i H' is anti-Hermitian to the bit, so every unitary factor comes
-        # from matexp's eigendecomposition.
+        # Every unitary factor comes from the frame's eigendecomposition of
+        # H'.
         expm = counting(monkeypatch, propagators, "_taylor_expm")
         rng = np.random.default_rng(37)
         for _ in range(10):
@@ -498,9 +498,10 @@ class TestApproxClosed:
 
 
     def test_log_grid_matches_the_product_oracle(self):
-        # 2 _CHUNK + 5 points to t = 1e4: each of the three chunks takes its
-        # unitary factors from one eigendecomposition. Both routes round the
-        # phases like u t ||H||_2, so ||H||_2 = 0.1 keeps that near 1e-13.
+        # 2 _CHUNK + 5 points to t = 1e4: all three chunks take their
+        # unitary factors from the frame's one eigendecomposition of H'.
+        # Both routes round the phases like u t ||H||_2, so ||H||_2 = 0.1
+        # keeps that near 1e-13.
         rng = np.random.default_rng(61)
         grid = np.geomspace(1e-3, 1e4, 2 * propagators._CHUNK + 5)
         for _ in range(5):
@@ -715,6 +716,33 @@ class TestBchErrorIndicator:
 
     def test_zero_time_gives_zero(self):
         assert propagators.bch_error_indicator(DRIVEN, 0.0) == 0.0
+
+    def test_constant_past_the_float_range(self):
+        # H = 1e200 sigma_x at rate 1e200: ||[A, B]||_F = sqrt(2) 1e400 is no
+        # float, yet (t^2/2) ||[A, B]||_F is 0 at t = 0, finite where the
+        # product is and inf only past the float range.
+        scen = make_scenario(1e200 * np.array([[0.0, 1.0], [1.0, 0.0]]), [(P0, 1e200)],
+                             np.diag([1.0, 0.0]))
+        assert propagators.bch_error_indicator(scen, 0.0) == 0.0
+        for t in (1e-300, 1e-250, 1e-50):
+            assert propagators.bch_error_indicator(scen, t) \
+                == pytest.approx(0.5 ** 0.5 * (1e200 * t) ** 2, rel=1e-14)
+        assert propagators.bch_error_indicator(scen, 1e-40) == math.inf
+
+    def test_scaled_product_is_the_plain_one_to_the_bit(self):
+        # Wherever 0.5 t t kappa is a normal float, the product of mantissas
+        # scaled by the summed exponents is that float.
+        rng = np.random.default_rng(53)
+        ts = 10.0 ** rng.uniform(-150.0, 150.0, 2000)
+        checked = 0
+        for kappa in 10.0 ** rng.uniform(-100.0, 100.0, 50):
+            with np.errstate(over="ignore", under="ignore"):
+                plain = 0.5 * ts * ts * kappa
+            normal = np.isfinite(plain) & (plain >= np.finfo(float).tiny)
+            got = propagators._indicator(ts, math.frexp(kappa))
+            assert np.array_equal(got[normal], plain[normal])
+            checked += normal.sum()
+        assert checked >= 50000
 
     def test_exact_quadratic_scaling(self):
         base = propagators.bch_error_indicator(DRIVEN, 0.5)
