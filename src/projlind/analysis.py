@@ -89,13 +89,10 @@ def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
         if exact is not None and approx is not None:
             distance = trace_distance(exact, approx)
             gap = np.linalg.norm(exact - approx, axis=(-2, -1))
-        columns = zip(times, distance.tolist(), gap.tolist(), exact_trace.tolist(),
-                      approx_trace.tolist(), min_eig.tolist(),
-                      _indicator(np.array(times, dtype=float), kappa).tolist())
-        for t, d, f, et, at, e, k in columns:
-            records.append(ErrorRecord(
-                time=float(t), trace_distance=d, frobenius_gap=f, exact_trace=et,
-                approx_trace=at, approx_min_eigenvalue=e, bch_indicator=k))
+        ts = np.array(times, dtype=float)
+        records.extend(map(ErrorRecord, ts.tolist(), distance.tolist(), gap.tolist(),
+                           exact_trace.tolist(), approx_trace.tolist(), min_eig.tolist(),
+                           _indicator(ts, kappa).tolist()))
     return records
 
 
@@ -105,11 +102,12 @@ def convergence_order(records) -> float:
     Points with t = 0 or a gap below ``GAP_NOISE_FLOOR`` are excluded; at
     least three usable points are required.
     """
-    ts = [r.time for r in records if r.time > 0.0 and r.frobenius_gap > GAP_NOISE_FLOOR]
-    gaps = [r.frobenius_gap for r in records if r.time > 0.0 and r.frobenius_gap > GAP_NOISE_FLOOR]
-    if len(ts) < 3:
+    points = [(r.time, r.frobenius_gap) for r in records
+              if r.time > 0.0 and r.frobenius_gap > GAP_NOISE_FLOOR]
+    if len(points) < 3:
         raise InvalidInputError(
             f"need at least 3 records with t > 0 and gap above {GAP_NOISE_FLOOR:g}, "
-            f"got {len(ts)}")
+            f"got {len(points)}")
+    ts, gaps = zip(*points)
     slope, _ = np.polyfit(np.log(ts), np.log(gaps), 1)
     return float(slope)

@@ -11,8 +11,8 @@ A configuration is a single JSON object with these keys:
     two-element array ``[re, im]``. Bare numbers are rejected, so the format
     is unambiguous.
 ``projectors``
-    List of objects, each carrying ``rate`` (positive number) and exactly
-    one of:
+    List of objects, each holding ``rate`` (positive number), exactly one
+    of the following, and no other key:
 
     * ``matrix``: an explicit n x n projector, entries as ``[re, im]``;
     * ``vectors``: a list of orthonormal length-n vectors (entries as
@@ -100,9 +100,8 @@ def _time_grid(node, path: str) -> np.ndarray:
             raise ConfigError(f"{path}: explicit grid must contain numbers only")
         return np.array([_float(x, f"{path}[{i}]") for i, x in enumerate(node)])
     if isinstance(node, dict):
-        extra = set(node) - {"start", "stop", "count", "spacing"}
-        if extra:
-            raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
+        if extra := sorted(set(node) - {"start", "stop", "count", "spacing"}):
+            raise ConfigError(f"{path}: unknown keys {extra}")
         start, stop, count = (node.get(key) for key in ("start", "stop", "count"))
         if not (_is_number(start) and _is_number(stop) and _is_number(count)
                 and isinstance(count, int)):
@@ -134,6 +133,8 @@ def _parse_members(doc: dict, n: int, fast: bool) -> list[tuple[np.ndarray, floa
         path = f"projectors[{j}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{path}: expected an object")
+        if extra := sorted(set(item) - {"rate", "matrix", "vectors"}):
+            raise ConfigError(f"{path}: unknown keys {extra}")
         if "rate" not in item:
             raise ConfigError(f"{path}: missing rate")
         rate = item["rate"]
@@ -168,9 +169,8 @@ def _parse_document(text: str) -> tuple[dict, bool]:
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise ConfigError(f"missing required keys: {missing}")
-    extra = set(doc) - set(_REQUIRED_KEYS)
-    if extra:
-        raise ConfigError(f"unknown keys: {sorted(extra)}")
+    if extra := sorted(set(doc) - set(_REQUIRED_KEYS)):
+        raise ConfigError(f"unknown keys: {extra}")
     if not isinstance(doc["dimension"], int) or isinstance(doc["dimension"], bool) \
             or doc["dimension"] < 1:
         raise ConfigError(f"dimension: expected a positive integer, got {doc['dimension']!r}")

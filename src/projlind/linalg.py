@@ -27,26 +27,18 @@ def hermiticity_residual(m) -> float | np.ndarray:
     A float for an n x n matrix; for a stack (..., n, n), the array of the
     defects of its matrices. Dividing a matrix whose largest real or
     imaginary part is at least 1 by a power of two that keeps that part at
-    least 1 changes no bit of its defect (unless an entry underflows). So a
-    stack, and a single matrix whose squared norms overflow, is scaled
-    matrix by matrix to a largest part in [1, 2) before any norm is
+    least 1 changes no bit of its defect (unless an entry underflows). So
+    each matrix is scaled to a largest part in [1, 2) before any norm is
     squared, and no squared norm overflows. A NaN or infinite entry gives a
     NaN or infinite defect, which fails every gate, and no numpy warning.
     """
     a = np.asarray(m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        if a.ndim == 2:
-            # One BLAS dot per squared norm, as long as they stay finite:
-            # the stacked reduction below costs a few microseconds more on
-            # a single matrix.
-            d, flat = (a - a.conj().T).ravel(), a.ravel()
-            dd, ff = np.vdot(d, d).real, np.vdot(flat, flat).real
-            if math.isfinite(dd + ff):
-                return math.sqrt(dd) / max(1.0, math.sqrt(ff))
         largest = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), keepdims=True)
         a = a / 2.0 ** np.maximum(np.frexp(largest)[1] - 1, 0)
-        return (np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
-                / np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))))
+        residual = (np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+                    / np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))))
+    return float(residual) if a.ndim == 2 else residual
 
 
 def _hermitian_part(m) -> np.ndarray:
@@ -60,27 +52,31 @@ def _hermitian_part(m) -> np.ndarray:
     return a + a.conj().swapaxes(-1, -2)
 
 
-def _taylor_action(step, nu: float, x) -> list:
-    """The terms x, S x, S^2 x / 2!, ..., S^k x / k! of the truncated Taylor
-    series of exp(S) x, for an operator S with a norm bound ``nu`` >= ||S||;
-    ``step(y, k)`` returns S y / k. Their sum is the series.
+def _taylor_action(op, h: float, nu: float, x) -> list:
+    """The terms x, h S x, (h S)^2 x / 2!, ..., (h S)^k x / k! of the
+    truncated Taylor series of exp(h S) x, for an operator S, applied as
+    ``op(y)`` = S y, a step ``h`` and a norm bound ``nu`` >= ||h S||. Their
+    sum is the series. ``op`` returns a new array, which is scaled in place
+    by h / k into the term of degree k.
 
     The series stops at the first degree k with nu^(k+1) / (k+1)! <= u/2, u
     the unit roundoff, which bounds the relative truncation error (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33 (2011)); at nu = 1 that is degree 18, at
-    nu = 3 degree 28, and nu = 0 returns x alone. Each term costs one call of
-    ``step``: for the dense exact kernel in :mod:`projlind.propagators` one
-    product with the stack of a chunk's cell starts, for the matrix-free
-    kernel one n x n product. Both weight the terms for the grid points
-    inside a cell of their lattice; the matrix-free kernel also sums them to
-    cross the cell.
+    Higham's expmv(t, A, b), SIAM J. Sci. Comput. 33 (2011)); at nu = 1 that
+    is degree 18, at nu = 3 degree 28, and nu = 0 returns x alone. Each term
+    costs one call of ``op``: for the dense exact kernel in
+    :mod:`projlind.propagators` one product with the stack of a chunk's cell
+    starts, for the matrix-free kernel one n x n product. Both weight the
+    terms for the grid points inside a cell of their lattice; the
+    matrix-free kernel also sums them to cross the cell.
     """
     half_u = np.finfo(float).eps / 4.0
     terms = [x]
     k, bound = 0, nu
     while bound > half_u:
         k += 1
-        terms.append(step(terms[-1], k))
+        z = op(terms[-1])
+        z *= h / k
+        terms.append(z)
         bound *= nu / (k + 1)
     return terms
 

@@ -44,6 +44,13 @@ def _frozen_complex(m, name: str) -> np.ndarray:
     return a
 
 
+def _frozen_hermitian(m, name: str) -> np.ndarray:
+    a = _frozen_complex(m, name)
+    if not (residual := hermiticity_residual(a)) <= VALIDATION_TOL:
+        raise InvalidInputError(f"{name} is not Hermitian (residual {residual:.3e})")
+    return a
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state of the system.
@@ -55,10 +62,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _frozen_complex(self.matrix, "density matrix")
-        residual = hermiticity_residual(a)
-        if not residual <= VALIDATION_TOL:
-            raise InvalidInputError(f"density matrix is not Hermitian (residual {residual:.3e})")
+        a = _frozen_hermitian(self.matrix, "density matrix")
         with np.errstate(over="ignore", invalid="ignore"):
             tr = np.trace(a)
             if not abs(tr - 1.0) <= VALIDATION_TOL:
@@ -81,11 +85,7 @@ class Hamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _frozen_complex(self.matrix, "Hamiltonian")
-        residual = hermiticity_residual(a)
-        if not residual <= VALIDATION_TOL:
-            raise InvalidInputError(f"Hamiltonian is not Hermitian (residual {residual:.3e})")
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", _frozen_hermitian(self.matrix, "Hamiltonian"))
 
     @property
     def dim(self) -> int:

@@ -147,7 +147,7 @@ about u t nu of it, on the closed form as well, and their moduli may
 shrink, or grow up to the bound. The matrix-free kernel takes no check: the cost rule gives it only
 t nu <= n^3 / 51, where its rounding stays near c n u t nu.
 
-A scenario's exact states come from the matrix-free kernel when
+A scenario's exact states come from the matrix-free kernel when nu = 0 or
 
     17 (t nu + b) <= n^3 / 3
 
@@ -156,10 +156,14 @@ against the dense kernel's build, polynomial and squarings, in units
 of n^3, as measured on one BLAS thread. Its 17 is the terms per unit of
 t nu of substeps with tau nu <= 1, about twice the lattice's 9.3, so the
 rule errs toward the dense kernel; at n = 10 the two kernels measure about
-even. The rule reads only the scenario and its grid, never a clock, so a
-run repeats to the bit. A 12-point grid
-with t nu near 15 goes matrix-free from n = 12 up, which reaches n = 64;
-a grid with t nu in the thousands stays dense below n = 59.
+even. A scenario with nu = 0 has no dynamics (H' a multiple of 1 and no
+decay): the matrix-free kernel puts every time on lattice point 0 and
+returns X0 with no series at any horizon, where the dense kernel's ladder
+of exact identities would never reach a zero top. The rule reads only
+the scenario and its grid, never a clock, so a run repeats to the bit. A
+12-point grid with t nu near 15 goes matrix-free from n = 12 up, which
+reaches n = 64; a grid with t nu in the thousands stays dense below
+n = 59.
 Both kernels share one applicator of L, the bound nu, the Taylor
 stopping rule, the cell rule and the dense output. The unstructured route
 exp(t (A + B)) is an oracle in the test suite.
@@ -375,7 +379,7 @@ def _exact_states(frame: _Frame, times):
     ``times``, a sequence, one (b, n, n) stack per chunk, from the kernel
     that the cost rule of the module docstring picks for the grid."""
     nu = _norm_bound(frame)
-    if 17.0 * (float(times[-1]) * nu + len(times)) <= frame.v.shape[0] ** 3 / 3.0:
+    if nu == 0.0 or 17.0 * (float(times[-1]) * nu + len(times)) <= frame.v.shape[0] ** 3 / 3.0:
         return _taylor_states(frame, times, nu)
     return _ladder_states(frame, times, nu)
 
@@ -433,13 +437,6 @@ def _taylor_states(frame: _Frame, times, nu: float):
     gen = _generator(frame)
     # nu = 0 puts every time on the lattice point 0.
     tau = _THETA / nu if nu > 0.0 else math.inf
-
-    def step(y, k):
-        # (tau/k) L(y), exactly Hermitian for Hermitian y.
-        z = gen(y)
-        z *= tau / k
-        return z
-
     x, j, terms = frame.x0, 0, None
     for chunk in _chunks(times):
         states = []
@@ -447,13 +444,13 @@ def _taylor_states(frame: _Frame, times, nu: float):
             i, sigma = _cell(t, tau)
             while j < i:
                 if terms is None:
-                    terms = np.array(_taylor_action(step, _THETA, x))
+                    terms = np.array(_taylor_action(gen, tau, _THETA, x))
                 x, j, terms = terms.sum(0), j + 1, None
             if sigma == 0.0:
                 states.append(x)
                 continue
             if terms is None:
-                terms = np.array(_taylor_action(step, _THETA, x))
+                terms = np.array(_taylor_action(gen, tau, _THETA, x))
             weights = sigma ** np.arange(len(terms))
             states.append((weights @ terms.reshape(len(terms), -1)).reshape(x.shape))
         yield np.array(states)
@@ -518,8 +515,8 @@ def _ladder_states(frame: _Frame, times, nu: float):
             if inside:
                 # One series on the stack of starts; each point weights the
                 # terms of its own cell.
-                terms = np.array(_taylor_action(lambda z, k: (beta / k) * (z @ gen.T),
-                                                beta * nu, np.array(starts)))
+                terms = np.array(_taylor_action(lambda z: z @ gen.T, beta, beta * nu,
+                                                np.array(starts)))
                 p, c, sigma = (np.array(col) for col in zip(*inside))
                 coords[p] = np.einsum("pk,kpn->pn", sigma[:, None] ** np.arange(len(terms)),
                                       terms[:, c])

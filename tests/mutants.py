@@ -46,6 +46,10 @@ INDICATOR = "tests/test_cli.py::TestExtremeValidConfigs::" \
             "test_indicator_past_the_float_range_of_its_constant"
 FAR_N24 = "tests/test_cli.py::TestFarHorizonMemory::test_damped_n24_on_a_far_grid_runs_within_1_gb"
 MODEL = "tests/test_model.py::"
+HERMITIAN_GATE = (MODEL + "TestHamiltonian::test_hermiticity_gate_boundary[twice]",
+                  MODEL + "TestDensityMatrix::test_hermiticity_gate_boundary[twice]")
+REFERENCES = ("tests/test_references.py::test_matrix_free_kernel_matches_40_digits[0]",
+              "tests/test_references.py::test_dense_kernel_matches_40_digits[0]")
 
 
 class Mutant(NamedTuple):
@@ -199,6 +203,10 @@ MUTANTS = (
            ("tests/test_propagators.py::TestExactWalk::"
             "test_far_horizon_keeps_no_square_of_zero",
             FAR_N24 + "[exact-only]", FAR_N24 + "[compare]")),
+    Mutant("still-scenario-goes-dense", "src/projlind/propagators.py",
+           "if nu == 0.0 or 17.0", "if 17.0",
+           ("tests/test_cli.py::TestFarHorizonMemory::"
+            "test_still_n24_on_a_far_grid_runs_within_1_gb[exact-only]",)),
     Mutant("phases-not-centred", "src/projlind/propagators.py",
            "c = frame.w[-1] / 2.0 + frame.w[0] / 2.0", "c = 0.0",
            (CENTRED + "[2-times-1-approx-only]",
@@ -218,16 +226,20 @@ MUTANTS = (
     Mutant("residual-not-rescaled", "src/projlind/linalg.py",
            "a = a / 2.0 ** np.maximum(np.frexp(largest)[1] - 1, 0)", "a = a + 0.0 * largest",
            ("tests/test_model.py::TestHamiltonian::"
-            "test_accepts_a_hermitian_matrix_whose_squared_norm_overflows",)),
+            "test_accepts_a_hermitian_matrix_whose_squared_norm_overflows",
+            "tests/test_model.py::TestHamiltonian::"
+            "test_rejects_an_overflowing_hermiticity_residual")),
+    Mutant("series-step-not-divided-by-k", "src/projlind/linalg.py",
+           "z *= h / k", "z *= h", REFERENCES),
     # The contracts: each 1e-10 gate at 1e-6, and the noise floor at 1e-10.
+    # Hamiltonian and DensityMatrix share one Hermiticity gate: one mutant
+    # loosens its tolerance, the other shrinks its residual by as much.
     Mutant("hamiltonian-gate-1e-6", "src/projlind/model.py",
-           'if not residual <= VALIDATION_TOL:\n            raise InvalidInputError(f"Hamiltonian',
-           'if not residual <= 1e-6:\n            raise InvalidInputError(f"Hamiltonian',
-           (MODEL + "TestHamiltonian::test_hermiticity_gate_boundary[twice]",)),
+           "(residual := hermiticity_residual(a)) <= VALIDATION_TOL",
+           "(residual := hermiticity_residual(a)) <= 1e-6", HERMITIAN_GATE),
     Mutant("density-hermiticity-gate-1e-6", "src/projlind/model.py",
-           'if not residual <= VALIDATION_TOL:\n            raise InvalidInputError(f"density',
-           'if not residual <= 1e-6:\n            raise InvalidInputError(f"density',
-           (MODEL + "TestDensityMatrix::test_hermiticity_gate_boundary[twice]",)),
+           "(residual := hermiticity_residual(a))", "(residual := 1e-4 * hermiticity_residual(a))",
+           HERMITIAN_GATE),
     Mutant("density-trace-gate-1e-6", "src/projlind/model.py",
            "if not abs(tr - 1.0) <= VALIDATION_TOL:", "if not abs(tr - 1.0) <= 1e-6:",
            (MODEL + "TestDensityMatrix::test_trace_gate_boundary[twice]",)),
@@ -240,6 +252,11 @@ MUTANTS = (
            "if not res <= 1e-6:\n                failures.append(\n"
            '                    f"projector {j}',
            (MODEL + "TestProjectorFamily::test_hermiticity_gate_boundary[twice]",)),
+    Mutant("orthogonality-gate-1e-6", "src/projlind/model.py",
+           "for j, k, res in ortho:\n        if not res <= VALIDATION_TOL:",
+           "for j, k, res in ortho:\n        if not res <= 1e-6:",
+           (MODEL + "TestProjectorFamily::test_orthogonality_gate_boundary[twice]",
+            "tests/test_cli.py::TestValidate::test_orthogonality_gate_boundary[twice]")),
     Mutant("gram-gate-1e-6", "src/projlind/model.py",
            'if not residual <= VALIDATION_TOL:\n        raise InvalidInputError(f"vectors',
            'if not residual <= 1e-6:\n        raise InvalidInputError(f"vectors',

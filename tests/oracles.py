@@ -79,6 +79,13 @@ def rand_ranks(n, n_members, rng):
     return ranks
 
 
+def near_orthogonal_pair(eps):
+    """P_1 = e_0 e_0^dag and P_2 = v v^dag with v = (eps, sqrt(1 - eps^2)),
+    so that ||P_1 P_2||_F = eps; each is Hermitian and idempotent."""
+    v = np.array([eps, np.sqrt(1.0 - eps * eps)])
+    return np.diag([1.0, 0.0]), np.outer(v, v)
+
+
 def perfbench_configs(workload, seed):
     """The config documents that ``perfbench/scenarios.py`` generates for
     ``workload`` and ``seed``, one per slot of the workload."""

@@ -14,7 +14,7 @@ import pytest
 from projlind import analysis, cli, config, presets, propagators
 from projlind.model import DensityMatrix, Hamiltonian, ProjectorFamily, Scenario
 
-from oracles import (perfbench_configs, rand_density, rand_hermitian,
+from oracles import (near_orthogonal_pair, perfbench_configs, rand_density, rand_hermitian,
                      rand_orthogonal_projectors)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -229,7 +229,36 @@ def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_unknown_projector_key_exits_1(tmp_path, capsys, command):
+    doc = json.loads(presets.preset_text("qubit-dephasing"))
+    doc["projectors"][0]["ratee"] = 5.0
+    cfg = tmp_path / "misspelt.json"
+    cfg.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "report.csv")] if command == "run" else []
+    assert cli.main([command, "--config", str(cfg)] + out) == 1
+    assert capsys.readouterr().err == "error: projectors[0]: unknown keys ['ratee']\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
 class TestValidate:
+    @pytest.mark.parametrize("factor", [0.5, 2.0], ids=["half", "twice"])
+    def test_orthogonality_gate_boundary(self, tmp_path, capsys, factor):
+        # ||P_1 P_2||_F = factor * 1e-10: the pair passes at half the
+        # tolerance and fails at twice it.
+        doc = dict(NON_ORTHOGONAL, projectors=[
+            {"matrix": np.stack((p, np.zeros_like(p)), -1).tolist(), "rate": 1.0}
+            for p in near_orthogonal_pair(factor * 1e-10)])
+        cfg = tmp_path / "pair.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--config", str(cfg)]) == (factor > 1.0)
+        lines = capsys.readouterr().out.splitlines()
+        if factor < 1.0:
+            assert lines[-1] == "result: PASS"
+        else:
+            assert lines[-2:] == ["result: FAIL", "  projector pair (0, 1): not mutually "
+                                  "orthogonal (residual 2.000e-10 exceeds 1e-10)"]
+
     def test_good_family_passes(self, tmp_path, capsys):
         cfg = write_preset(tmp_path, "three-projector")
         assert cli.main(["validate", "--config", str(cfg)]) == 0
@@ -551,7 +580,8 @@ class TestContractionCheck:
 class TestFarHorizonMemory:
     # A damped scenario's ladder is exactly 0 long before t = 1e308, and
     # keeps no square past that: n = 24 reports within 1 GB of address
-    # space, where squaring on to 1e308 would ask for about 2.7 GB.
+    # space, where squaring on to 1e308 would ask for about 2.7 GB. A
+    # scenario with no dynamics takes no ladder at all.
     LIMIT = 1 << 30
 
     @pytest.mark.parametrize("mode", analysis.MODES)
@@ -565,7 +595,24 @@ class TestFarHorizonMemory:
                         ProjectorFamily(tuple((p, float(rng.uniform(0.5, 2.0)))
                                               for p in projectors)),
                         DensityMatrix(rand_density(24, rng)), grid)
-        cfg, out = tmp_path / "damped.json", tmp_path / "report.csv"
+        self.run_capped(tmp_path, scen, mode)
+
+    @pytest.mark.parametrize("mode", ["exact-only", "compare"])
+    def test_still_n24_on_a_far_grid_runs_within_1_gb(self, tmp_path, mode):
+        # H = 0 and no projectors: nu = 0, so the matrix-free kernel gives
+        # X0 at every time, where the dense kernel's ladder of exact
+        # identities would never reach a zero top and run out of memory.
+        grid = np.linspace(0.0, 1e308, 300).tolist()
+        scen = Scenario(Hamiltonian(np.zeros((24, 24))), ProjectorFamily((), dim=24),
+                        DensityMatrix(rand_density(24, np.random.default_rng(24))), grid)
+        rows = self.run_capped(tmp_path, scen, mode)
+        if mode == "compare":
+            assert max(float(row[1]) for row in rows) <= 1e-14
+
+    def run_capped(self, tmp_path, scen, mode):
+        """The rows of a CLI run on ``scen`` within LIMIT bytes of address
+        space, after :func:`far_report`'s checks."""
+        cfg, out = tmp_path / "scenario.json", tmp_path / "report.csv"
         cfg.write_text(config.dumps_config(scen))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1")
@@ -577,7 +624,7 @@ class TestFarHorizonMemory:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                   (self.LIMIT, self.LIMIT)))
         assert proc.returncode == 0, proc.stderr
-        far_report(out, mode, grid)
+        return far_report(out, mode, scen.time_grid.tolist())
 
 
 def random_basis_config(tmp_path, grid):

@@ -1,6 +1,10 @@
-"""The rule of ``code_lines.py`` on a fixed snippet."""
+"""The rule of ``code_lines.py`` on a fixed snippet, and the package's
+ceiling."""
 
-from code_lines import code_lines
+from code_lines import PACKAGE, code_lines
+
+#: Most code lines that ``src/projlind`` may hold (ROADMAP item 13).
+CEILING = 937
 
 SNIPPET = '''"""Module docstring,
 over two lines."""
@@ -26,3 +30,8 @@ class C:
 def test_counts_non_blank_lines_outside_comments_and_docstrings():
     # import, def, the two lines of s, return, class, y.
     assert code_lines(SNIPPET) == 7
+
+
+def test_package_stays_within_the_ceiling():
+    total = sum(code_lines(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py"))
+    assert total <= CEILING

@@ -98,6 +98,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="exactly one"):
             parse(doc)
 
+    @pytest.mark.parametrize("where, message", [
+        ("top level", "unknown keys: ['note']"),
+        ("time_grid", "time_grid: unknown keys ['note']"),
+        ("projector", "projectors[0]: unknown keys ['note', 'ratee']"),
+    ])
+    def test_unknown_keys_rejected(self, where, message):
+        # A misspelt key is an error, not a key to drop: "ratee" must not
+        # leave the preset's rate of 1.0 in force unnoticed.
+        doc = json.loads(presets.preset_text("qubit-dephasing"))
+        if where == "top level":
+            doc["note"] = True
+        elif where == "time_grid":
+            doc["time_grid"]["note"] = True
+        else:
+            doc["projectors"][0].update(ratee=5.0, note=True)
+        with pytest.raises(ConfigError) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == message
+
     def test_invalid_initial_state(self):
         doc = minimal_doc(initial_state=[[[1.0, 0.0], [0.0, 0.0]],
                                          [[0.0, 0.0], [1.0, 0.0]]])

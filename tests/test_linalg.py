@@ -110,11 +110,12 @@ def test_taylor_expm_matches_40_digit_reference(n, target_norm, kind):
 
 @pytest.mark.parametrize("nu, degree", [(0.0, 0), (1.0, 18), (3.0, 28)])
 def test_taylor_action_stops_at_the_first_bound_below_half_the_unit_roundoff(nu, degree):
-    # S = nu on the vector (1,): the term of degree k is nu^k / k!, which is
-    # also the stopping rule's bound for it.
+    # S = 1 on the vector (1,) with the step nu: the term of degree k is
+    # nu^k / k!, which is also the stopping rule's bound for it. Each term
+    # is scaled in place, never x itself.
     x = np.ones(1)
-    terms = linalg._taylor_action(lambda y, k: nu * y / k, nu, x)
-    assert terms[0] is x and len(terms) == degree + 1
+    terms = linalg._taylor_action(lambda y: 1.0 * y, nu, nu, x)
+    assert terms[0] is x and x.tolist() == [1.0] and len(terms) == degree + 1
     expected = [nu ** k / math.factorial(k) for k in range(degree + 1)]
     assert_allclose(np.concatenate(terms), expected, rtol=1e-15, atol=0)
     half_u = np.finfo(float).eps / 4.0
@@ -137,7 +138,7 @@ def test_hermiticity_residual_of_a_stack_matches_each_matrix():
 
 @pytest.mark.parametrize("n", [1, 8, 32])
 def test_hermiticity_residual_of_a_matrix_matches_its_stack(n):
-    # A single matrix takes its own path; it must agree with the stacked one.
+    # A matrix takes the stack's route and gives a float that agrees with it.
     rng = np.random.default_rng(n)
     for m in (rand_hermitian(n, rng), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
               1e-3 * rng.normal(size=(n, n))):

@@ -9,6 +9,7 @@ from oracles import (
     apply_dissipator,
     coherence_block_projector,
     dissipator_reference,
+    near_orthogonal_pair,
     projector_exp,
     rand_density,
     rand_hermitian,
@@ -213,6 +214,15 @@ class TestProjectorFamily:
         d = off_diagonal(factor)
         gated(factor, "projector 0: hermiticity residual",
               lambda: family((np.array([[1.0, d], [0.0, 0.0]]), 1.0)))
+
+    @AT_THE_GATE
+    def test_orthogonality_gate_boundary(self, factor):
+        eps = factor * linalg.VALIDATION_TOL
+        pair = near_orthogonal_pair(eps)
+        [(_, _, residual)] = model.validate_family([(p, 1.0) for p in pair]).orthogonality
+        assert residual == pytest.approx(eps, rel=1e-6)
+        gated(factor, r"projector pair \(0, 1\): not mutually orthogonal",
+              lambda: family((pair[0], 1.0), (pair[1], 2.0)))
 
     def test_rejects_a_finite_idempotency_residual(self):
         with pytest.raises(InvalidInputError,

@@ -226,7 +226,7 @@ class TestExactWalk:
         cells = [{math.floor(s) for s in grid[k:k + chunk] / beta if abs(s - round(s)) > 1e-9}
                  for k in range(0, len(grid), chunk)]
         assert len(cells) == 7 and all(cells) and sum(map(len, cells)) > 10
-        assert [x.shape for _, _, x in taylor] == [(len(c), scen.dim ** 2 - 1) for c in cells]
+        assert [x.shape for *_, x in taylor] == [(len(c), scen.dim ** 2 - 1) for c in cells]
         for t, state in zip(grid[::37], walked[::37]):
             single = propagators.exact_propagate(scen, t)
             assert np.linalg.norm(frame.v @ state @ frame.v.conj().T - single) <= 1e-12
@@ -269,13 +269,13 @@ class TestExactWalk:
         # nu >= ||M||_2 sets the ladder's base and bounds every cell's
         # Taylor series; the points of a log grid fall inside cells.
         expm = counting(monkeypatch, propagators, "_taylor_expm")
-        # Each call's bound, first term S x and x, recorded at the call.
+        # Each call's step, bound, S x and x, recorded at the call.
         taylor = []
         action = propagators._taylor_action
 
-        def recorded(step, bound, x):
-            taylor.append((bound, step(x, 1), x))
-            return action(step, bound, x)
+        def recorded(op, h, bound, x):
+            taylor.append((h, bound, op(x), x))
+            return action(op, h, bound, x)
 
         monkeypatch.setattr(propagators, "_taylor_action", recorded)
         rng = np.random.default_rng(19)
@@ -295,12 +295,12 @@ class TestExactWalk:
         assert np.linalg.norm(a - beta * gen) <= 1e-14 * np.linalg.norm(a)
         assert 0.5 <= beta * nu < 1.0
         assert taylor
-        for bound, sx, x in taylor:
-            assert 0.0 < bound < 1.0
-            delta = bound / nu
+        for h, bound, sx, x in taylor:
+            # The step is beta, and the bound beta nu.
+            assert 0.0 < bound < 1.0 and bound == h * nu
             # x is the stack of a chunk's cell starts, one per row.
-            assert (np.linalg.norm(sx - delta * (x @ gen.T))
-                    <= 1e-14 * delta * np.linalg.norm(gen) * np.linalg.norm(x))
+            assert (np.linalg.norm(sx - x @ gen.T)
+                    <= 1e-14 * np.linalg.norm(gen) * np.linalg.norm(x))
 
     @pytest.mark.parametrize("grid, scale", [
         (np.geomspace(1e-2, 500.0, 16), 1.0),
@@ -341,7 +341,7 @@ class TestExactWalk:
             frame = propagators._frame(scen)
             walked = np.concatenate(list(ladder_states(frame, grid)))
             assert len(walked) == len(grid)
-            widths = [len(x) for _, _, x in taylor]
+            widths = [len(x) for *_, x in taylor]
             assert len(widths) == 3 and 3 * len(widths) <= sum(widths) <= len(grid) / 4
             for t, state in zip(grid, walked):
                 ref = (taylor_expm(t * gen) @ rho0.reshape(-1)).reshape(rho0.shape)
