@@ -76,7 +76,7 @@ def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
     frame = _frame(scenario)
     exact_chunks = repeat(None) if mode == "approx-only" else _exact_states(frame, grid)
     approx_chunks = repeat(None) if mode == "exact-only" else _approx_states(frame, grid)
-    kappa = _bch_constant(frame)
+    kappa = _bch_constant(frame.g, frame.h)
     records = []
     for times, exact, approx in zip(_chunks(grid), exact_chunks, approx_chunks):
         distance = gap = min_eig = np.full(len(times), _NAN)

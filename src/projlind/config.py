@@ -25,9 +25,13 @@ A configuration is a single JSON object with these keys:
     ``{"start": a, "stop": b, "count": k, "spacing": "linear" | "log"}``
     with numbers a, b and an integer k. Log spacing requires a > 0 and b > 0.
 
-Every number must fit a float. Each matrix is read with one numpy conversion;
-a node it rejects, and every matrix of a text holding ``true`` or ``false``
-(numpy would read a bool as a number), takes the per-entry walk instead.
+Every number must fit a float. A matrix node that holds the right number of
+rows and entries, every entry a pair, and only ints and floats as leaves is
+flattened in one typed pass and read as one buffer. Any other node, including
+one holding ``true`` or ``false`` (a bool is no number here), takes the
+per-entry walk, whose error names the first bad entry. The cyclic garbage
+collector is paused while a text is decoded and its matrices read: the
+decoded tree holds no reference cycles, so its collections would free nothing.
 
 A file is read once, as UTF-8 text, by :func:`load_config` or
 :func:`load_members`; bytes that are not UTF-8 raise
@@ -39,7 +43,9 @@ field, projector index or pair, and the measured residual.
 
 from __future__ import annotations
 
+import gc
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -75,14 +81,22 @@ def _complex_entry(node, path: str) -> complex:
     return complex(_float(node[0], path), _float(node[1], path))
 
 
-def _complex_matrix(node, path: str, rows: int, cols: int, fast: bool) -> np.ndarray:
+def _complex_matrix(node, path: str, rows: int, cols: int) -> np.ndarray:
     try:
-        a = np.asarray(node) if fast else None
-    except ValueError:  # ragged nesting
-        a = None
-    if a is not None and a.dtype.kind in "fi" and a.shape == (rows, cols, 2):
-        # The view keeps -0.0, inf and nan exactly as complex(re, im) does.
-        return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+        entries = list(chain.from_iterable(node))
+        flat = list(chain.from_iterable(entries))
+    except TypeError:  # a number or null where a list belongs
+        flat = None
+    # Leaf types are compared exactly, so a JSON bool (a Python bool) fails
+    # here. Iterating a JSON string or object yields strings, so numeric
+    # leaves mean that every level above them is a list.
+    if (flat is not None and len(node) == rows and set(map(len, node)) == {cols}
+            and set(map(len, entries)) == {2} and set(map(type, flat)) <= {float, int}):
+        try:
+            # The view keeps -0.0, inf and nan exactly as complex(re, im) does.
+            return np.fromiter(flat, float, len(flat)).view(complex).reshape(rows, cols)
+        except OverflowError:  # an integer past the float range: the walk names it
+            pass
     if not isinstance(node, list) or len(node) != rows:
         raise ConfigError(f"{path}: expected {rows} rows")
     out = np.zeros((rows, cols), dtype=complex)
@@ -123,9 +137,9 @@ def _time_grid(node, path: str) -> np.ndarray:
     raise ConfigError(f"{path}: expected a list of times or a start/stop/count object")
 
 
-def _parse_members(doc: dict, n: int, fast: bool) -> list[tuple[np.ndarray, float]]:
+def _parse_members(doc: dict) -> list[tuple[np.ndarray, float]]:
     """Raw (projector matrix, rate) pairs, before family axioms are enforced."""
-    node = doc["projectors"]
+    n, node = doc["dimension"], doc["projectors"]
     if not isinstance(node, list):
         raise ConfigError("projectors: expected a list")
     members = []
@@ -145,20 +159,20 @@ def _parse_members(doc: dict, n: int, fast: bool) -> list[tuple[np.ndarray, floa
         if has_matrix == has_vectors:
             raise ConfigError(f"{path}: give exactly one of 'matrix' or 'vectors'")
         if has_matrix:
-            p = _complex_matrix(item["matrix"], f"{path}.matrix", n, n, fast)
+            p = _complex_matrix(item["matrix"], f"{path}.matrix", n, n)
         else:
             vecs_node = item["vectors"]
             if not isinstance(vecs_node, list) or not vecs_node:
                 raise ConfigError(f"{path}.vectors: expected a non-empty list of vectors")
             # One vector per row.
-            vecs = _complex_matrix(vecs_node, f"{path}.vectors", len(vecs_node), n, fast)
+            vecs = _complex_matrix(vecs_node, f"{path}.vectors", len(vecs_node), n)
             p = _in_field(f"{path}.vectors", projector_from_vectors, vecs)
         members.append((p, _float(rate, f"{path}.rate")))
     return members
 
 
-def _parse_document(text: str) -> tuple[dict, bool]:
-    """The checked top-level object, and whether the text is free of JSON bools."""
+def _parse_document(text: str) -> dict:
+    """The checked top-level object of ``text``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -174,7 +188,7 @@ def _parse_document(text: str) -> tuple[dict, bool]:
     if not isinstance(doc["dimension"], int) or isinstance(doc["dimension"], bool) \
             or doc["dimension"] < 1:
         raise ConfigError(f"dimension: expected a positive integer, got {doc['dimension']!r}")
-    return doc, "true" not in text and "false" not in text
+    return doc
 
 
 def _read(path) -> str:
@@ -186,23 +200,41 @@ def _read(path) -> str:
         raise ConfigError(f"not UTF-8 text: {exc}") from exc
 
 
+def _decoded(text: str, convert):
+    """convert(doc) for the checked top-level object ``doc`` of ``text``, with
+    the cyclic garbage collector paused throughout.
+
+    The caller's collector state is restored on every exit, once ``convert``
+    has returned or raised; on a return, the tree is dropped by then.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return convert(_parse_document(text))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_members(path) -> list[tuple[np.ndarray, float]]:
     """Raw (projector matrix, rate) pairs of a configuration file, before the
     family axioms are enforced, for reporting on them."""
-    doc, fast = _parse_document(_read(path))
-    return _parse_members(doc, doc["dimension"], fast)
+    return _decoded(_read(path), _parse_members)
+
+
+def _matrices(doc: dict) -> tuple:
+    """The raw Hamiltonian, members, initial state and time grid of ``doc``."""
+    n = doc["dimension"]
+    return (_complex_matrix(doc["hamiltonian"], "hamiltonian", n, n), _parse_members(doc),
+            _complex_matrix(doc["initial_state"], "initial_state", n, n),
+            _time_grid(doc["time_grid"], "time_grid"))
 
 
 def parse_config(text: str) -> Scenario:
     """Parse a JSON configuration document into a validated Scenario."""
-    doc, fast = _parse_document(text)
-    n = doc["dimension"]
-    h = _complex_matrix(doc["hamiltonian"], "hamiltonian", n, n, fast)
-    members = _parse_members(doc, n, fast)
-    rho0 = _complex_matrix(doc["initial_state"], "initial_state", n, n, fast)
-    grid = _time_grid(doc["time_grid"], "time_grid")
+    h, members, rho0, grid = _decoded(text, _matrices)
     hamiltonian = _in_field("hamiltonian", Hamiltonian, h)
-    family = _in_field("projectors", ProjectorFamily, members, n)
+    family = _in_field("projectors", ProjectorFamily, members, h.shape[0])
     state = _in_field("initial_state", DensityMatrix, rho0)
     return _in_field("time_grid", Scenario, hamiltonian, family, state, grid)
 

@@ -216,10 +216,10 @@ class _Frame(NamedTuple):
     wv: np.ndarray
 
 
-def _frame(scenario: Scenario) -> _Frame:
-    """The scenario's frame, from two eigendecompositions: one of the
-    projectors' weights for V, one of H' for its spectrum. H' and X0 are
-    made exactly Hermitian here, and nowhere else.
+def _rotation(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V, G and H' of the frame, from one eigendecomposition: that of the
+    projectors' weights for V. H' is made exactly Hermitian here, and
+    nowhere else.
 
     The eigenvalues of sum_j j P_j (j from 1) label the columns of V: j for
     the range of P_j, 0 for the remainder. Family validation holds them
@@ -235,10 +235,16 @@ def _frame(scenario: Scenario) -> _Frame:
     # Halved before the sum, so rates near the float range cannot overflow.
     g = np.where(labels[:, None] == labels[None, :], 0.0,
                  rates[:, None] / 2.0 + rates[None, :] / 2.0)
-    vh = v.conj().T
-    h = _hermitian_part(vh @ scenario.hamiltonian.matrix @ v)
-    return _Frame(v, g, h, _hermitian_part(vh @ scenario.initial_state.matrix @ v),
-                  *np.linalg.eigh(h))
+    return v, g, _hermitian_part(v.conj().T @ scenario.hamiltonian.matrix @ v)
+
+
+def _frame(scenario: Scenario) -> _Frame:
+    """The scenario's frame: _rotation's V, G and H', X0 made exactly
+    Hermitian here and nowhere else, and a second eigendecomposition, of H'
+    for its spectrum."""
+    v, g, h = _rotation(scenario)
+    x0 = _hermitian_part(v.conj().T @ scenario.initial_state.matrix @ v)
+    return _Frame(v, g, h, x0, *np.linalg.eigh(h))
 
 
 def _check_time(t) -> float:
@@ -274,7 +280,8 @@ def _propagate(scenario: Scenario, t, states) -> np.ndarray:
 
 
 def bch_error_indicator(scenario: Scenario, t) -> float:
-    """(1/2) ||[tA, tB]||_F from the frame's G and H', by the module docstring.
+    """(1/2) ||[tA, tB]||_F from the frame's G and H', by the module docstring;
+    it takes neither the spectrum of H' nor X0.
 
     Zero exactly when the scenario commutes; grows quadratically in t. It
     bounds the splitting error: A is anti-Hermitian and B Hermitian negative
@@ -284,7 +291,7 @@ def bch_error_indicator(scenario: Scenario, t) -> float:
     (Jahnke & Lubich, BIT 40 (2000); Childs et al., PRX 11, 011020 (2021)).
     """
     t = _check_time(t)
-    return float(_indicator(t, _bch_constant(_frame(scenario))))
+    return float(_indicator(t, _bch_constant(*_rotation(scenario)[1:])))
 
 
 def _indicator(ts, kappa: tuple[float, int]) -> np.ndarray:
@@ -300,13 +307,13 @@ def _indicator(ts, kappa: tuple[float, int]) -> np.ndarray:
         return np.ldexp(0.5 * ft * ft * s, 2 * et + e)
 
 
-def _bch_constant(frame: _Frame) -> tuple[float, int]:
+def _bch_constant(g: np.ndarray, h: np.ndarray) -> tuple[float, int]:
     """||[A, B]||_F = sqrt(2 sum_{a,c} |H'_ac|^2 D_ac), independent of t, as
     (s, e) with ||[A, B]||_F = s 2^e, which may lie past the float range."""
     # |H'| and G scaled by powers of two to at most 1, so no square
     # overflows and no digit changes.
-    eh, eg = np.frexp(np.abs(frame.h).max())[1], np.frexp(frame.g.max())[1]
-    h, g = np.ldexp(np.abs(frame.h), -eh), np.ldexp(frame.g, -eg)
+    eh, eg = np.frexp(np.abs(h).max())[1], np.frexp(g.max())[1]
+    h, g = np.ldexp(np.abs(h), -eh), np.ldexp(g, -eg)
     # Direct differences: equal-label columns give D = 0 exactly, where an
     # expansion into squares would leave cancellation noise.
     d = ((g[:, :, None] - g[:, None, :]) ** 2).sum(0)

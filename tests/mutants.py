@@ -48,6 +48,13 @@ FAR_N24 = "tests/test_cli.py::TestFarHorizonMemory::test_damped_n24_on_a_far_gri
 MODEL = "tests/test_model.py::"
 HERMITIAN_GATE = (MODEL + "TestHamiltonian::test_hermiticity_gate_boundary[twice]",
                   MODEL + "TestDensityMatrix::test_hermiticity_gate_boundary[twice]")
+READING = "tests/test_config.py::TestMatrixReading::"
+#: Every exit of both readers, with the collector found on and found off.
+COLLECTOR = tuple(f"tests/test_config.py::TestCollectorState::test_leaves_the_collector_as_found"
+                  f"[{reader}-{case}-{state}]"
+                  for reader in ("parse_config", "load_members")
+                  for case in ("success", "syntax-error", "rejected-node")
+                  for state in ("on", "off"))
 REFERENCES = ("tests/test_references.py::test_matrix_free_kernel_matches_40_digits[0]",
               "tests/test_references.py::test_dense_kernel_matches_40_digits[0]")
 
@@ -137,9 +144,19 @@ MUTANTS = (
            "decayed = np.exp(-ts[:1, None, None] * frame.g) * frame.x0",
            (SWEEP + "test_commuting_scenario_all_small",)),
     Mutant("bool-guard-off", "src/projlind/config.py",
-           'return doc, "true" not in text and "false" not in text', "return doc, True",
-           ("tests/test_config.py::TestMatrixReading::"
-            "test_rejected_node_keeps_the_walk_message[bool]",)),
+           "set(map(type, flat)) <= {float, int}", "set(map(type, flat)) <= {float, int, bool}",
+           tuple(READING + f"test_rejected_node_keeps_the_walk_message[{case}]"
+                 for case in ("bool", "bool-among-ints", "bool-among-ints-in-vectors"))),
+    Mutant("collector-left-off", "src/projlind/config.py",
+           "        if enabled:\n            gc.enable()\n", "        pass\n", COLLECTOR),
+    Mutant("collector-not-paused", "src/projlind/config.py",
+           "    gc.disable()\n", "    pass\n",
+           ("tests/test_config.py::TestCollectorState::"
+            "test_collector_is_paused_while_reading[parse_config]",
+            "tests/test_config.py::TestCollectorState::"
+            "test_collector_is_paused_while_reading[load_members]")),
+    Mutant("collector-forced-on", "src/projlind/config.py",
+           "        if enabled:\n            gc.enable()\n", "        gc.enable()\n", COLLECTOR),
     Mutant("cell-not-crossed-by-its-sum", "src/projlind/propagators.py",
            "                if terms is None:\n", "                if True:\n",
            ("tests/test_propagators.py::TestDenseOutput::"
@@ -158,14 +175,19 @@ MUTANTS = (
            "args = _parser().parse_args(argv)", "args = build_parser().parse_args(argv)",
            ("tests/test_cli.py::test_repeated_calls_in_one_process",)),
     Mutant("matrix-as-re-plus-im", "src/projlind/config.py",
-           "return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]",
-           "return a[..., 0] + 1j * a[..., 1]",
+           "return np.fromiter(flat, float, len(flat)).view(complex).reshape(rows, cols)",
+           "return (lambda a: a[0::2] + 1j * a[1::2])(np.fromiter(flat, float, len(flat)))"
+           ".reshape(rows, cols)",
            ("tests/test_config.py::TestRoundTrip::test_roundtrip_is_bit_exact",)),
     Mutant("frame-not-hermitian", "src/projlind/propagators.py",
-           "h = _hermitian_part(vh @ scenario.hamiltonian.matrix @ v)\n"
-           "    return _Frame(v, g, h, _hermitian_part(vh @ scenario.initial_state.matrix @ v),",
-           "h = vh @ scenario.hamiltonian.matrix @ v\n"
-           "    return _Frame(v, g, h, vh @ scenario.initial_state.matrix @ v,",
+           "_hermitian_part(v.conj().T @ scenario.hamiltonian.matrix @ v)",
+           "(v.conj().T @ scenario.hamiltonian.matrix @ v)",
+           ("tests/test_propagators.py::TestFrame::test_frame_is_exactly_hermitian",
+            "tests/test_propagators.py::TestMatrixFreeKernel::"
+            "test_states_are_exactly_hermitian_with_unit_trace")),
+    Mutant("initial-state-not-hermitian", "src/projlind/propagators.py",
+           "_hermitian_part(v.conj().T @ scenario.initial_state.matrix @ v)",
+           "(v.conj().T @ scenario.initial_state.matrix @ v)",
            ("tests/test_propagators.py::TestFrame::test_frame_is_exactly_hermitian",
             "tests/test_propagators.py::TestMatrixFreeKernel::"
             "test_states_are_exactly_hermitian_with_unit_trace")),

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -340,6 +341,13 @@ class TestMatrixReading:
         pytest.param("projectors", [[[1.0, 0.0], _Z], [_Z, [0.0, False]]],
                      "projectors[0].matrix[1][1]: expected a [re, im] pair, got [0.0, False]",
                      id="false-in-projector"),
+        # numpy reads [True, 0] among ints as an int; the typed pass does not.
+        pytest.param("hamiltonian", [[[1, 0], [0, 0]], [[0, 0], [True, 0]]],
+                     "hamiltonian[1][1]: expected a [re, im] pair, got [True, 0]",
+                     id="bool-among-ints"),
+        pytest.param("vectors", [[[1, 0], [True, 0]]],
+                     "projectors[0].vectors[0][1]: expected a [re, im] pair, got [True, 0]",
+                     id="bool-among-ints-in-vectors"),
         pytest.param("hamiltonian", [[[0.0, None], _Z], [_Z, _Z]],
                      "hamiltonian[0][0]: expected a [re, im] pair, got [0.0, None]", id="null"),
         pytest.param("hamiltonian", [[["1.0", 0.0], _Z], [_Z, _Z]],
@@ -361,15 +369,29 @@ class TestMatrixReading:
     def test_rejected_node_keeps_the_walk_message(self, field, node, message, tmp_path):
         if field == "projectors":
             doc = minimal_doc(projectors=[{"matrix": node, "rate": 1.0}])
+        elif field == "vectors":
+            doc = minimal_doc(projectors=[{"vectors": node, "rate": 1.0}])
         else:
             doc = minimal_doc(**{field: node})
         with pytest.raises(ConfigError) as excinfo:
             parse(doc)
         assert str(excinfo.value) == message
-        if field == "projectors":
+        if field in ("projectors", "vectors"):
             with pytest.raises(ConfigError) as excinfo:
                 config.load_members(_write(tmp_path, doc))
             assert str(excinfo.value) == message
+
+    def test_large_integer_reads_as_its_float(self, monkeypatch):
+        # 10**300 is a JSON integer that a float holds only rounded; the
+        # typed pass reads it as float() does, without the walk.
+        def walk(node, path):
+            raise AssertionError(f"{path} was read entry by entry")
+
+        monkeypatch.setattr(config, "_complex_entry", walk)
+        doc = minimal_doc(hamiltonian=[[[10**300, 0], [0, 0]], [[0, 0], [-1, 0]]])
+        h = parse(doc).hamiltonian.matrix
+        _assert_same_bits(h, np.array([[float(10**300), 0.0], [0.0, -1.0]], dtype=complex))
+        assert h[0, 0].real.hex() == float(10**300).hex()
 
     @pytest.mark.parametrize("field, entry, message", [
         ("hamiltonian", [float("nan"), 0.0], "hamiltonian: Hamiltonian contains NaN or Inf entries"),
@@ -383,3 +405,53 @@ class TestMatrixReading:
         with pytest.raises(InvalidInputError) as excinfo:
             parse(doc)  # json.dumps writes NaN and Infinity, which json.loads reads back
         assert str(excinfo.value) == message
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector state that the test found."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _read_as(reader, text, tmp_path):
+    """``text`` read by parse_config, or by load_members from a file."""
+    if reader == "parse_config":
+        return config.parse_config(text)
+    return config.load_members(_write(tmp_path, text))
+
+
+class TestCollectorState:
+    """The reader pauses the cyclic garbage collector while it decodes and
+    converts, and leaves it as it found it, on every exit."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("text, error", [
+        pytest.param(json.dumps(minimal_doc()), None, id="success"),
+        pytest.param('{"dimension": 2,', "JSON syntax error", id="syntax-error"),
+        pytest.param(json.dumps(minimal_doc(projectors=[{"matrix": [[_Z, _Z], [_Z]],
+                                                         "rate": 1.0}])),
+                     "projectors[0].matrix[1]: expected 2 entries", id="rejected-node"),
+    ])
+    @pytest.mark.parametrize("reader", ["parse_config", "load_members"])
+    def test_leaves_the_collector_as_found(self, collector, reader, text, error, enabled,
+                                           tmp_path):
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            _read_as(reader, text, tmp_path)
+        else:
+            with pytest.raises(ConfigError) as excinfo:
+                _read_as(reader, text, tmp_path)
+            assert str(excinfo.value).startswith(error)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("reader", ["parse_config", "load_members"])
+    def test_collector_is_paused_while_reading(self, collector, reader, monkeypatch, tmp_path):
+        seen = []
+        parse_members = config._parse_members
+        monkeypatch.setattr(config, "_parse_members",
+                            lambda doc: seen.append(gc.isenabled()) or parse_members(doc))
+        gc.enable()
+        _read_as(reader, json.dumps(minimal_doc()), tmp_path)
+        assert seen == [False] and gc.isenabled()

@@ -717,6 +717,23 @@ class TestBchErrorIndicator:
     def test_zero_time_gives_zero(self):
         assert propagators.bch_error_indicator(DRIVEN, 0.0) == 0.0
 
+    def test_one_eigh_per_call(self, monkeypatch):
+        # The indicator reads only G and H': one n x n eigh per call, of the
+        # projectors' weights for V, and neither the spectrum of H' nor X0.
+        # The values are those the whole frame gave, to the bit.
+        scen = presets.preset_scenario("three-projector")
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        got = [propagators.bch_error_indicator(scen, t).hex() for t in (1.0, 3.5)]
+        assert calls == [(4, 4), (4, 4)]
+        assert got == ["0x1.465655f122ff6p+0", "0x1.f3b433993d971p+3"]
+
     def test_constant_past_the_float_range(self):
         # H = 1e200 sigma_x at rate 1e200: ||[A, B]||_F = sqrt(2) 1e400 is no
         # float, yet (t^2/2) ||[A, B]||_F is 0 at t = 0, finite where the
