@@ -97,17 +97,18 @@ def sweep(scenario: Scenario, mode: str = "compare") -> list[ErrorRecord]:
 
 
 def convergence_order(records) -> float:
-    """Least-squares slope of log(frobenius_gap) against log(t).
+    """Least-squares slope sum (x - xbar)(y - ybar) / sum (x - xbar)^2 of
+    y = log(frobenius_gap) against x = log(t).
 
-    Points with t = 0 or a gap below ``GAP_NOISE_FLOOR`` are excluded; at
-    least three usable points are required.
+    Points with t = 0 or a gap below ``GAP_NOISE_FLOOR`` are excluded; the
+    usable points must hold at least three distinct values of log(t).
     """
     points = [(r.time, r.frobenius_gap) for r in records
               if r.time > 0.0 and r.frobenius_gap > GAP_NOISE_FLOOR]
-    if len(points) < 3:
+    x, y = np.log(points).reshape(-1, 2).T
+    if (distinct := len(set(x))) < 3:
         raise InvalidInputError(
-            f"need at least 3 records with t > 0 and gap above {GAP_NOISE_FLOOR:g}, "
-            f"got {len(points)}")
-    ts, gaps = zip(*points)
-    slope, _ = np.polyfit(np.log(ts), np.log(gaps), 1)
-    return float(slope)
+            f"need records at 3 distinct times t > 0 with gap above {GAP_NOISE_FLOOR:g}, "
+            f"got {distinct}")
+    x -= x.mean()
+    return float(x @ (y - y.mean()) / (x @ x))

@@ -97,15 +97,15 @@ def _complex_matrix(node, path: str, rows: int, cols: int) -> np.ndarray:
             return np.fromiter(flat, float, len(flat)).view(complex).reshape(rows, cols)
         except OverflowError:  # an integer past the float range: the walk names it
             pass
+    # The typed pass rejected the node: the walk names its first bad entry.
     if not isinstance(node, list) or len(node) != rows:
         raise ConfigError(f"{path}: expected {rows} rows")
-    out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != cols:
             raise ConfigError(f"{path}[{i}]: expected {cols} entries")
         for j, entry in enumerate(row):
-            out[i, j] = _complex_entry(entry, f"{path}[{i}][{j}]")
-    return out
+            _complex_entry(entry, f"{path}[{i}][{j}]")
+    raise ConfigError(f"{path}: expected {rows} rows of {cols} [re, im] pairs")
 
 
 def _time_grid(node, path: str) -> np.ndarray:

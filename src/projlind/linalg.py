@@ -1,11 +1,12 @@
 """Dense matrix kernel.
 
 The Hermiticity gate and Hermitian part, the Taylor series shared by both
-exact kernels, the dense kernel's Taylor polynomial and the closed form's
-stack of unitary exponentials, which takes an eigendecomposition and takes
-none itself, on plain ``numpy`` arrays: ``complex128``, except that the
-polynomial keeps its input's dtype. Every function is pure; inputs are
-never modified.
+exact kernels, the dense kernel's Taylor polynomial (the stack of the first
+four powers times a table of inverse factorials, then Horner's rule) and
+the closed form's stack of unitary exponentials, which takes an
+eigendecomposition and takes none itself, on plain ``numpy`` arrays:
+``complex128``, except that the polynomial keeps its input's dtype. Every
+function is pure; inputs are never modified.
 """
 
 from __future__ import annotations
@@ -85,22 +86,23 @@ def _taylor_expm(a: np.ndarray) -> np.ndarray:
     """exp(a) for a square ``a`` with ||a||_2 < 1, in the dtype of ``a``.
 
     The Taylor polynomial of degree 18, sum_k a^k / k!, in Paterson-Stockmeyer
-    form (SIAM J. Comput. 2 (1973)): blocks B_j = sum_i a^i / (4j + i)! of
-    degree at most 3, summed by Horner's rule in a^4, so it takes 7 matrix
-    products. Its remainder sum_{k > 18} ||a||^k / k! is below
-    (20/19) / 19! < u/2, u the unit roundoff: the stopping bound of
-    :func:`_taylor_action` at nu = 1, where that series also stops at
-    degree 18.
+    form (SIAM J. Comput. 2 (1973)). The blocks B_j = sum_i a^i / (4j + i)!,
+    i = 0..3, are one product of the 5 x 4 table of the 1/k! (k = 0..18,
+    padded with one 0) with the stack (1, a, a^2, a^3); Horner's rule in a^4
+    sums them in place, so the polynomial takes 7 matrix products. Its
+    remainder sum_{k > 18} ||a||^k / k! is below (20/19) / 19! < u/2, u the
+    unit roundoff: the stopping bound of :func:`_taylor_action` at nu = 1,
+    where that series also stops at degree 18.
     """
     a2 = a @ a
-    powers = (np.eye(a.shape[0], dtype=a.dtype), a, a2, a2 @ a)
+    blocks = np.tensordot(np.reshape(_INV_FACTORIALS + (0.0,), (5, 4)),
+                          np.stack((np.eye(len(a), dtype=a.dtype), a, a2, a2 @ a)), 1)
     a4 = a2 @ a2
-    blocks = [sum(c * p for c, p in zip(_INV_FACTORIALS[k:k + 4], powers))
-              for k in range(0, 19, 4)]
-    out = blocks.pop()
-    while blocks:
-        out = a4 @ out + blocks.pop()
-    return out
+    out = blocks[4]
+    for b in blocks[3::-1]:
+        out = np.add(b, a4 @ out, out=b)
+    # A copy, so that exp(a) does not hold the other four blocks.
+    return out.copy()
 
 
 def matexp(v: np.ndarray, w: np.ndarray, ts) -> np.ndarray:

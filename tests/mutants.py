@@ -46,6 +46,7 @@ INDICATOR = "tests/test_cli.py::TestExtremeValidConfigs::" \
             "test_indicator_past_the_float_range_of_its_constant"
 FAR_N24 = "tests/test_cli.py::TestFarHorizonMemory::test_damped_n24_on_a_far_grid_runs_within_1_gb"
 MODEL = "tests/test_model.py::"
+CONVERGENCE = "tests/test_analysis.py::TestConvergenceOrder::"
 HERMITIAN_GATE = (MODEL + "TestHamiltonian::test_hermiticity_gate_boundary[twice]",
                   MODEL + "TestDensityMatrix::test_hermiticity_gate_boundary[twice]")
 READING = "tests/test_config.py::TestMatrixReading::"
@@ -55,6 +56,8 @@ COLLECTOR = tuple(f"tests/test_config.py::TestCollectorState::test_leaves_the_co
                   for reader in ("parse_config", "load_members")
                   for case in ("success", "syntax-error", "rejected-node")
                   for state in ("on", "off"))
+#: The three-projector preset against the closed form's 40-digit factors.
+CLOSED_40 = "tests/test_references.py::test_closed_form_matches_40_digits[3]"
 REFERENCES = ("tests/test_references.py::test_matrix_free_kernel_matches_40_digits[0]",
               "tests/test_references.py::test_dense_kernel_matches_40_digits[0]")
 
@@ -142,7 +145,7 @@ MUTANTS = (
     Mutant("one-decay-per-chunk", "src/projlind/propagators.py",
            "decayed = np.exp(-ts[:, None, None] * frame.g) * frame.x0",
            "decayed = np.exp(-ts[:1, None, None] * frame.g) * frame.x0",
-           (SWEEP + "test_commuting_scenario_all_small",)),
+           (SWEEP + "test_commuting_scenario_all_small", CLOSED_40)),
     Mutant("bool-guard-off", "src/projlind/config.py",
            "set(map(type, flat)) <= {float, int}", "set(map(type, flat)) <= {float, int, bool}",
            tuple(READING + f"test_rejected_node_keeps_the_walk_message[{case}]"
@@ -197,11 +200,10 @@ MUTANTS = (
            (DECAY + "[driven-qubit-4.0-grid0-approx-only]",
             DECAY + "[driven-qubit-1e+300-grid3-compare]")),
     Mutant("taylor-expm-degree-15", "src/projlind/linalg.py",
-           "for k in range(0, 19, 4)]", "for k in range(0, 16, 4)]",
+           "_INV_FACTORIALS + (0.0,), (5, 4)", "_INV_FACTORIALS[:16] + (0.0,) * 4, (5, 4)",
            (EXPM_40,)),
     Mutant("taylor-expm-horner-in-a2", "src/projlind/linalg.py",
-           "out = a4 @ out + blocks.pop()", "out = a2 @ out + blocks.pop()",
-           (EXPM_40,)),
+           "a4 @ out", "a2 @ out", (EXPM_40,)),
     Mutant("closed-form-overflow-unchecked", "src/projlind/propagators.py",
            "        if not finite.all():\n", "        if False:\n",
            ("tests/test_cli.py::TestExtremeValidConfigs::"
@@ -214,7 +216,7 @@ MUTANTS = (
            "np.multiply.outer(np.asarray(ts, dtype=float), w)",
            "np.multiply.outer(np.asarray(ts, dtype=float)[:1], w)",
            ("tests/test_propagators.py::TestApproxClosed::"
-            "test_log_grid_matches_the_product_oracle",)),
+            "test_log_grid_matches_the_product_oracle", CLOSED_40)),
     Mutant("points-weight-the-first-cell", "src/projlind/propagators.py",
            "terms[:, c])", "terms[:, 0 * c])",
            ("tests/test_propagators.py::TestExactWalk::"
@@ -283,10 +285,15 @@ MUTANTS = (
            'if not residual <= VALIDATION_TOL:\n        raise InvalidInputError(f"vectors',
            'if not residual <= 1e-6:\n        raise InvalidInputError(f"vectors',
            (MODEL + "TestProjectorFromVectors::test_gram_gate_boundary[twice]",)),
+    Mutant("slope-x-not-centred", "src/projlind/analysis.py", "    x -= x.mean()\n", "",
+           tuple(f"{CONVERGENCE}test_matches_the_least_squares_oracle[{seed}]"
+                 for seed in range(6))),
+    Mutant("fit-admits-equal-times", "src/projlind/analysis.py",
+           "(distinct := len(set(x)))", "(distinct := len(x))",
+           (CONVERGENCE + "test_equal_times_raise",)),
     Mutant("gap-noise-floor-1e-10", "src/projlind/analysis.py",
            "GAP_NOISE_FLOOR = 1e-14", "GAP_NOISE_FLOOR = 1e-10",
-           ("tests/test_analysis.py::TestConvergenceOrder::"
-            "test_fit_between_the_floor_and_the_gates",)),
+           (CONVERGENCE + "test_fit_between_the_floor_and_the_gates",)),
 )
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles and random generators for the test suite.
 
-Nothing here calls into ``projlind``; the exponential oracle, the paper's
-coherence-block algebra R_j, the two-qubit Pauli decomposition, the
-random model builders and the benchmark's scenario generator are
-deliberately separate routes so the package can be checked against them.
+Nothing here calls into ``projlind``; the exponential oracle, the
+reference log-log fit, the paper's coherence-block algebra R_j, the
+two-qubit Pauli decomposition, the random model builders and the
+benchmark's scenario generator are deliberately separate routes so the
+package can be checked against them.
 """
 
 import importlib.util
@@ -36,6 +37,12 @@ def taylor_expm(m):
     for _ in range(k):
         out = out @ out
     return out
+
+
+def loglog_slope(times, gaps):
+    """np.polyfit's least-squares slope of log(gaps) against log(times): the
+    reference fit of the convergence order."""
+    return float(np.polyfit(np.log(times), np.log(gaps), 1)[0])
 
 
 def rand_unitary(n, rng):

@@ -7,6 +7,7 @@ from projlind.exceptions import DimensionError, InvalidInputError
 
 from oracles import (
     SX,
+    loglog_slope,
     pauli_decompose,
     pauli_reconstruct,
     rand_density,
@@ -419,6 +420,32 @@ class TestConvergenceOrder:
         assert gaps.min() > analysis.GAP_NOISE_FLOOR and gaps.max() < 1e-10
         assert analysis.convergence_order(self._records(ts, gaps)) \
             == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_least_squares_oracle(self, seed):
+        # 3 to 40 usable points over up to nine decades, among rows at t = 0
+        # and rows with a gap at or below the floor, in a random order.
+        rng = np.random.default_rng(7100 + seed)
+        k = int(rng.integers(3, 41))
+        ts = 10.0 ** rng.uniform(-4.0, 5.0, k)
+        gaps = 10.0 ** rng.uniform(-6.0, 0.0) * ts ** rng.uniform(0.5, 3.0) \
+            * np.exp(rng.normal(0.0, 0.3, k))
+        floor = analysis.GAP_NOISE_FLOOR
+        rows = list(zip(ts, gaps))
+        rows += [(0.0, g) for g in 10.0 ** rng.uniform(-12.0, 0.0, 3)]
+        rows += [(t, g) for t, g in zip(10.0 ** rng.uniform(-4.0, 5.0, 4),
+                                        (floor, floor / 2.0, 1e-300, 0.0))]
+        order = rng.permutation(len(rows))
+        recs = self._records(*zip(*(rows[i] for i in order)))
+        assert gaps.min() > floor
+        assert analysis.convergence_order(recs) == pytest.approx(loglog_slope(ts, gaps),
+                                                                 rel=1e-12)
+
+    def test_equal_times_raise(self):
+        # Three usable records at one time, and four at two, fix no slope.
+        for ts in ([0.5, 0.5, 0.5], [0.1, 0.2, 0.1, 0.2]):
+            with pytest.raises(InvalidInputError):
+                analysis.convergence_order(self._records(ts, [1e-3, 2e-3, 3e-3, 4e-3]))
 
     def test_insufficient_records_raise(self):
         recs = self._records([0.1, 0.2], [1e-3, 4e-3])

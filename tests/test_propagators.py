@@ -15,6 +15,7 @@ from oracles import (
     approx_product,
     bch_indicator_superop,
     bch_interaction_term,
+    loglog_slope,
     perfbench_configs,
     rand_density,
     rand_hermitian,
@@ -620,8 +621,7 @@ class TestSecondOrderGap:
                 propagators.exact_propagate(DRIVEN, t)
                 - propagators.approx_propagate_closed(DRIVEN, t))
             gaps.append(gap)
-        slope = np.polyfit(np.log(ts), np.log(gaps), 1)[0]
-        assert slope == pytest.approx(2.0, abs=0.1)
+        assert loglog_slope(ts, gaps) == pytest.approx(2.0, abs=0.1)
 
 
 class TestBchInteractionTerm:
