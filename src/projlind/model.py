@@ -17,7 +17,10 @@ A kron B^T form of the builders below. Column stacking would silently
 flip it to B^T kron A.
 
 All types are immutable after construction: arrays are copied in and marked
-read-only, so instances may be shared freely across threads.
+read-only, so instances may be shared freely across threads. A projector
+family is checked and copied in one pass, by :func:`validate_family`: each
+projector is copied once, into one read-only (m, n, n) stack, and the
+family's matrices are views of that stack.
 """
 
 from __future__ import annotations
@@ -34,18 +37,18 @@ from .linalg import VALIDATION_TOL, _hermitian_part, hermiticity_residual
 # it as well, so residuals are taken with those warnings off, as in linalg.
 
 
-def _frozen_complex(m, name: str) -> np.ndarray:
-    a = np.array(m, dtype=complex)
+def _square_finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` itself, once it is checked to be a finite square matrix."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains NaN or Inf entries")
-    a.setflags(write=False)
     return a
 
 
 def _frozen_hermitian(m, name: str) -> np.ndarray:
-    a = _frozen_complex(m, name)
+    a = _square_finite(np.array(m, dtype=complex), name)
+    a.setflags(write=False)
     if not (residual := hermiticity_residual(a)) <= VALIDATION_TOL:
         raise InvalidInputError(f"{name} is not Hermitian (residual {residual:.3e})")
     return a
@@ -101,6 +104,8 @@ class FamilyValidation:
     orthogonality: tuple[tuple[int, int, float], ...]
     rates: tuple[float, ...]
     failures: tuple[str, ...]
+    #: The projectors as one read-only (m, n, n) stack, the family's one copy.
+    stack: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -126,21 +131,26 @@ def validate_family(members) -> FamilyValidation:
     (P_j P_k = 0), all within ``VALIDATION_TOL``, and every rate must be a
     positive finite number. The report never raises on numeric violations;
     structural problems (non-square or mismatched shapes) do raise.
+
+    Each member is checked where it lies, then copied once into the
+    report's read-only ``stack``; each residual is one norm over that
+    stack, and the pairs (j, k > j) take one stacked product per j.
     """
-    mats = []
-    rates = []
+    mats, rates = [], []
     for j, (m, rate) in enumerate(members):
-        mats.append(_frozen_complex(m, f"projector {j}"))
+        mats.append(_square_finite(np.asarray(m, dtype=complex), f"projector {j}"))
         rates.append(float(rate))
     dims = {m.shape[0] for m in mats}
     if len(dims) > 1:
         raise DimensionError(f"projectors have mixed dimensions {sorted(dims)}")
+    s = np.array(mats, dtype=complex).reshape(len(mats), *(mats[0].shape if mats else (0, 0)))
+    s.setflags(write=False)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        herm = [float(np.linalg.norm(p - p.conj().T)) for p in mats]
-        idem = [float(np.linalg.norm(p @ p - p)) for p in mats]
-        ortho = [(j, k, float(np.linalg.norm(mats[j] @ mats[k])))
-                 for j in range(len(mats)) for k in range(j + 1, len(mats))]
+        herm = np.linalg.norm(s - s.conj().swapaxes(-1, -2), axis=(-2, -1)).tolist()
+        idem = np.linalg.norm(s @ s - s, axis=(-2, -1)).tolist()
+        ortho = [(j, k, res) for j in range(len(s) - 1) for k, res in
+                 enumerate(np.linalg.norm(s[j] @ s[j + 1:], axis=(-2, -1)).tolist(), j + 1)]
     failures = []
     for j in range(len(mats)):
         for what, res in (("hermiticity", herm[j]), ("idempotency", idem[j])):
@@ -162,6 +172,7 @@ def validate_family(members) -> FamilyValidation:
         orthogonality=tuple(ortho),
         rates=tuple(rates),
         failures=tuple(failures),
+        stack=s,
     )
 
 
@@ -180,20 +191,19 @@ class ProjectorFamily:
     dim: int = field(default=0)
 
     def __post_init__(self):
-        pairs = [( _frozen_complex(p, f"projector {j}"), float(rate))
-                 for j, (p, rate) in enumerate(self.members)]
-        if pairs:
-            n = pairs[0][0].shape[0]
+        report = validate_family(self.members)
+        if len(stack := report.stack):
+            n = stack.shape[1]
         elif self.dim > 0:
             n = int(self.dim)
         else:
             raise InvalidInputError("empty family needs an explicit dim")
-        if self.dim and pairs and self.dim != n:
+        if self.dim and len(stack) and self.dim != n:
             raise DimensionError(f"dim={self.dim} does not match projector size {n}")
-        report = validate_family(pairs)
         if not report.passed:
             raise InvalidInputError("invalid projector family: " + "; ".join(report.failures))
-        object.__setattr__(self, "members", tuple(pairs))
+        # Each matrix is a read-only view of the report's one stack.
+        object.__setattr__(self, "members", tuple(zip(stack, report.rates)))
         object.__setattr__(self, "dim", n)
 
     def __len__(self) -> int:

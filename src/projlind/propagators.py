@@ -15,9 +15,11 @@ projectors share one eigenbasis V; with the remainder 1 - sum_j P_j as an
 extra block of rate 0, every column of V lies in one block, and
 B rho = -V (G o V^dag rho V) V^dag with G_ab = 0 inside a block and
 (r_a + r_b)/2 between blocks of rates r_a, r_b. The frame is (V, G,
-H' = V^dag H V, X0 = V^dag rho0 V), with H' and X0 taken as the Hermitian
-parts of those products, so both equal their conjugate transposes to the
-bit; a state rho appears in it as V^dag rho V. The frame also keeps the
+H' = V^dag (H - s 1) V, X0 = V^dag rho0 V), with H' and X0 taken as the
+Hermitian parts of those products, so both equal their conjugate
+transposes to the bit; a state rho appears in it as V^dag rho V. The shift
+s, the midpoint of the diagonal of H, moves no state and keeps a common
+energy offset out of H' (:func:`_rotation`). The frame also keeps the
 one eigendecomposition H' = W diag(w) W^dag, w ascending, that every
 later use of the spectrum of H' reads.
 
@@ -224,6 +226,16 @@ def _rotation(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The eigenvalues of sum_j j P_j (j from 1) label the columns of V: j for
     the range of P_j, 0 for the remainder. Family validation holds them
     within 1e-10 of those integers, so rounding recovers the labels.
+
+    H' is taken from H - s 1, with s = (d_max + d_min)/2 for the real
+    diagonal d of H: a trace reduction after Ward (SIAM J. Numer. Anal. 14,
+    600 (1977)). A multiple of 1 moves no state, but V is unitary only to
+    rounding, so s V^dag V would leave noise of about u |s| in H', which the
+    closed form's phases, the generator and the indicator all read. For a
+    diagonal c 1, s is c exactly: H = c 1 gives H' = 0, and an exact shift
+    H + c 1 gives the H' of H to the bit. s is the midpoint, halved before
+    its sum, not the mean tr H / n, so neither s nor d - s overflows, where
+    tr H can.
     """
     family = scenario.family
     n = family.dim
@@ -235,7 +247,10 @@ def _rotation(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Halved before the sum, so rates near the float range cannot overflow.
     g = np.where(labels[:, None] == labels[None, :], 0.0,
                  rates[:, None] / 2.0 + rates[None, :] / 2.0)
-    return v, g, _hermitian_part(v.conj().T @ scenario.hamiltonian.matrix @ v)
+    h = scenario.hamiltonian.matrix
+    d = h.diagonal().real
+    h = h - (d.max() / 2.0 + d.min() / 2.0) * np.eye(n)
+    return v, g, _hermitian_part(v.conj().T @ h @ v)
 
 
 def _frame(scenario: Scenario) -> _Frame:

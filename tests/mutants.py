@@ -40,12 +40,12 @@ GATE = "tests/test_analysis.py::TestTraceDistance::test_stack_gates_every_member
 SWEEP = "tests/test_analysis.py::TestSweep::"
 EXPM_40 = "tests/test_linalg.py::test_taylor_expm_matches_40_digit_reference"
 LOST = "tests/test_cli.py::TestContractionCheck::test_lost_accuracy_names_its_time"
-CENTRED = "tests/test_cli.py::TestExtremeValidConfigs::test_closed_form_takes_centred_phases"
 SPECTRUM = "tests/test_cli.py::TestExtremeValidConfigs::test_closed_form_centres_on_the_spectrum"
 INDICATOR = "tests/test_cli.py::TestExtremeValidConfigs::" \
             "test_indicator_past_the_float_range_of_its_constant"
 FAR_N24 = "tests/test_cli.py::TestFarHorizonMemory::test_damped_n24_on_a_far_grid_runs_within_1_gb"
 MODEL = "tests/test_model.py::"
+OFFSET = "tests/test_relations.py::TestEnergyOffset::"
 CONVERGENCE = "tests/test_analysis.py::TestConvergenceOrder::"
 HERMITIAN_GATE = (MODEL + "TestHamiltonian::test_hermiticity_gate_boundary[twice]",
                   MODEL + "TestDensityMatrix::test_hermiticity_gate_boundary[twice]")
@@ -183,8 +183,7 @@ MUTANTS = (
            ".reshape(rows, cols)",
            ("tests/test_config.py::TestRoundTrip::test_roundtrip_is_bit_exact",)),
     Mutant("frame-not-hermitian", "src/projlind/propagators.py",
-           "_hermitian_part(v.conj().T @ scenario.hamiltonian.matrix @ v)",
-           "(v.conj().T @ scenario.hamiltonian.matrix @ v)",
+           "_hermitian_part(v.conj().T @ h @ v)", "(v.conj().T @ h @ v)",
            ("tests/test_propagators.py::TestFrame::test_frame_is_exactly_hermitian",
             "tests/test_propagators.py::TestMatrixFreeKernel::"
             "test_states_are_exactly_hermitian_with_unit_trace")),
@@ -233,17 +232,25 @@ MUTANTS = (
             "test_still_n24_on_a_far_grid_runs_within_1_gb[exact-only]",)),
     Mutant("phases-not-centred", "src/projlind/propagators.py",
            "c = frame.w[-1] / 2.0 + frame.w[0] / 2.0", "c = 0.0",
-           (CENTRED + "[2-times-1-approx-only]",
-            CENTRED + "[0.9-times-1-plus-sigma-x-compare]")),
+           (SPECTRUM + "[approx-only]", SPECTRUM + "[compare]")),
     Mutant("phases-centred-on-the-diagonal", "src/projlind/propagators.py",
            "c = frame.w[-1] / 2.0 + frame.w[0] / 2.0",
            "c = frame.h.diagonal().real.max() / 2.0 + frame.h.diagonal().real.min() / 2.0",
            (SPECTRUM + "[approx-only]", SPECTRUM + "[compare]")),
     Mutant("idempotency-residual-0", "src/projlind/model.py",
-           "np.linalg.norm(p @ p - p)", "np.linalg.norm(p @ p - p @ p)",
+           "np.linalg.norm(s @ s - s,", "np.linalg.norm(s @ s - s @ s,",
            ("tests/test_model.py::TestValidateFamily::test_finite_idempotency_residual_fails",
             "tests/test_model.py::TestProjectorFamily::"
             "test_rejects_a_finite_idempotency_residual")),
+    Mutant("orthogonality-next-pair-only", "src/projlind/model.py",
+           "s[j + 1:]", "s[j + 1:j + 2]", (MODEL + "TestValidateFamily::test_every_pair_is_checked",)),
+    Mutant("trace-shift-dropped", "src/projlind/propagators.py",
+           "    h = h - (d.max() / 2.0 + d.min() / 2.0) * np.eye(n)\n", "",
+           (OFFSET + "test_a_multiple_of_one_reports_no_splitting_error[1000000000000.0]",
+            OFFSET + "test_an_exact_shift_changes_no_bit[compare]")),
+    Mutant("matrix-free-substep-capped", "src/projlind/propagators.py",
+           "tau = _THETA / nu if nu > 0.0", "tau = min(_THETA / nu, 3.0) if nu > 0.0",
+           ("tests/test_relations.py::test_time_rescaling_is_bit_exact[matrix-free-kernel-k-5]",)),
     Mutant("csv-15-digits", "src/projlind/cli.py",
            '_CSV_ROW = ",".join(["{:.17g}"]', '_CSV_ROW = ",".join(["{:.15g}"]',
            ("tests/test_cli.py::TestRun::test_csv_values_parse_back_to_the_same_floats",)),

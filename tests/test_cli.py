@@ -465,9 +465,11 @@ class TestExtremeValidConfigs:
 
     @pytest.mark.parametrize("mode", analysis.MODES)
     def test_closed_form_centres_on_the_spectrum(self, tmp_path, mode):
-        # H' has the spectrum -1, 1, 1.8 and the diagonal 1.8, 0, 0: phases
-        # centred on the spectrum, at 0.4, lie within +-1.4 t; centred on
-        # the diagonal, at 0.9, the phase -1.9 t overflows at t = 1e308.
+        # H has the spectrum -1, 1, 1.8 and the diagonal 1.8, 0, 0, so H'
+        # (from H - 0.9) has the spectrum -1.9, 0.1, 0.9 and the diagonal
+        # 0.9, -0.9, -0.9: phases centred on the spectrum, at -0.5, lie
+        # within +-1.4 t; uncentred, or centred on the diagonal, at 0, the
+        # phase -1.9 t overflows at t = 1e308.
         grid = [0.0, 1.0, 1e308]
         scen = Scenario(Hamiltonian(np.array([[1.8, 0.0, 0.0], [0.0, 0.0, 1.0],
                                               [0.0, 1.0, 0.0]])),

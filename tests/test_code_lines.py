@@ -3,7 +3,8 @@ ceiling."""
 
 from code_lines import PACKAGE, code_lines
 
-#: Most code lines that ``src/projlind`` may hold (ROADMAP item 13).
+#: Most code lines that ``src/projlind`` may hold (the code-lines standing
+#: rule of ROADMAP.md).
 CEILING = 937
 
 SNIPPET = '''"""Module docstring,

@@ -197,6 +197,26 @@ class TestValidateFamily:
         assert report.hermiticity[0] == np.inf
         assert any("hermiticity residual inf" in msg for msg in report.failures)
 
+    def test_every_pair_is_checked(self):
+        # P_0 and P_2 overlap in e_0; each is orthogonal to P_1.
+        plus = np.zeros((3, 3))
+        plus[np.ix_([0, 2], [0, 2])] = 0.5
+        report = model.validate_family(
+            [(np.diag([1.0, 0.0, 0.0]), 1.0), (np.diag([0.0, 1.0, 0.0]), 1.0), (plus, 1.0)])
+        assert [pair[:2] for pair in report.orthogonality] == [(0, 1), (0, 2), (1, 2)]
+        assert report.orthogonality[1][2] == np.sqrt(0.5)
+        assert report.failures == ("projector pair (0, 2): not mutually orthogonal "
+                                   "(residual 7.071e-01 exceeds 1e-10)",)
+
+    def test_stack_is_one_read_only_copy(self):
+        p = np.diag([1.0, 0.0]).astype(complex)
+        report = model.validate_family([(p, 1.0), (np.eye(2) - p, 2.0)])
+        assert report.stack.shape == (2, 2, 2) and not report.stack.flags.writeable
+        assert not np.shares_memory(report.stack, p)
+        fam = model.ProjectorFamily(((p, 1.0), (np.eye(2) - p, 2.0)))
+        assert all(q.base is fam.projectors[0].base for q in fam.projectors)
+        assert not any(q.flags.writeable for q in fam.projectors)
+
     def test_overflowing_orthogonality_residual_fails(self):
         report = model.validate_family([(OVERFLOWING_PROJECTOR, 1.0)] * 2)
         assert np.isnan(report.orthogonality[0][2])
@@ -228,6 +248,13 @@ class TestProjectorFamily:
         with pytest.raises(InvalidInputError,
                            match=r"idempotency residual 2\.500e-01 exceeds 1e-10"):
             family((np.diag([0.5, 0.0]), 1.0))
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+        original = model.validate_family
+        monkeypatch.setattr(model, "validate_family", lambda m: calls.append(m) or original(m))
+        family((P0, 1.0), (np.eye(2) - P0, 2.0))
+        assert len(calls) == 1
 
     def test_constructor_fail_fast(self):
         with pytest.raises(InvalidInputError, match=r"\(0, 1\)"):
